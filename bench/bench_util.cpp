@@ -17,15 +17,13 @@ namespace {
   std::fprintf(
       stderr,
       "usage: %s [--jobs N] [--json PATH] [--fault-plan FILE]"
-      " [--replica-floor K] [--shards K] [--topology SPEC|FILE]"
+      " [--replica-floor K] [--topology SPEC|FILE]"
       " [--oracle KIND]\n"
       "  --jobs N           worker threads (0 = hardware concurrency;\n"
       "                     default $RADAR_BENCH_JOBS, else 1)\n"
       "  --json PATH        write the sweep as a SweepJson document\n"
       "  --fault-plan FILE  inject faults (see fault/fault_plan.h)\n"
       "  --replica-floor K  re-replicate objects below K live copies\n"
-      "  --shards K         shard-parallel engine with K shards (0 =\n"
-      "                     serial; default $RADAR_BENCH_SHARDS, else 0)\n"
       "  --topology S       backbone: a ts:/sf: generator spec or a\n"
       "                     topology file (default $RADAR_BENCH_TOPOLOGY,\n"
       "                     else the built-in UUNET backbone)\n"
@@ -61,7 +59,6 @@ driver::SimConfig PaperConfig() {
   config.num_objects =
       static_cast<ObjectId>(EnvOr("RADAR_BENCH_OBJECTS", 10000.0));
   config.seed = static_cast<std::uint64_t>(EnvOr("RADAR_BENCH_SEED", 1.0));
-  config.shards = static_cast<int>(EnvOr("RADAR_BENCH_SHARDS", 0.0));
   const std::string oracle = EnvStrOr("RADAR_BENCH_ORACLE", "auto");
   if (oracle == "dense") {
     config.oracle = net::OracleKind::kDense;
@@ -82,7 +79,6 @@ runner::ExperimentPlan PaperPlan(const std::string& name) {
 BenchOptions ParseBenchArgs(int argc, char** argv) {
   BenchOptions options;
   options.jobs = static_cast<int>(EnvOr("RADAR_BENCH_JOBS", 1.0));
-  options.shards = static_cast<int>(EnvOr("RADAR_BENCH_SHARDS", 0.0));
   options.topology = EnvStrOr("RADAR_BENCH_TOPOLOGY", "");
 
   const auto value_of = [&](int* i, const std::string& arg,
@@ -134,19 +130,6 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
         UsageAndExit(argv[0], 2);
       }
       options.replica_floor = static_cast<int>(parsed);
-    } else if (arg == "--shards" || arg.rfind("--shards=", 0) == 0) {
-      const std::string value = value_of(&i, arg, "--shards");
-      char* end = nullptr;
-      const long parsed = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || parsed < 0) {
-        std::fprintf(stderr, "%s: --shards must be a non-negative integer\n",
-                     argv[0]);
-        UsageAndExit(argv[0], 2);
-      }
-      options.shards = static_cast<int>(parsed);
-      // Exported so PaperConfig() — always called after parsing — sees
-      // the flag without every bench threading it through by hand.
-      setenv("RADAR_BENCH_SHARDS", value.c_str(), 1);
     } else if (arg == "--topology" || arg.rfind("--topology=", 0) == 0) {
       options.topology = value_of(&i, arg, "--topology");
       if (options.topology.empty()) {
@@ -161,7 +144,8 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
                      argv[0]);
         UsageAndExit(argv[0], 2);
       }
-      // Exported for PaperConfig(), like --shards.
+      // Exported so PaperConfig() — always called after parsing — sees
+      // the flag without every bench threading it through by hand.
       setenv("RADAR_BENCH_ORACLE", value.c_str(), 1);
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],

@@ -18,8 +18,6 @@
 //   RADAR_BENCH_OBJECTS    objects in the system (default 10000)
 //   RADAR_BENCH_SEED       root RNG seed (default 1)
 //   RADAR_BENCH_JOBS       default worker-thread count
-//   RADAR_BENCH_SHARDS     shard-parallel engine shard count (default 0 =
-//                          serial; reports are identical for any K >= 1)
 //   RADAR_BENCH_TOPOLOGY   backbone override: a "ts:"/"sf:" generator
 //                          spec (net/topology_gen.h) or a topology file
 //                          (default: the built-in UUNET backbone)
@@ -59,20 +57,18 @@ struct BenchOptions {
   std::string json_path;  ///< empty = no JSON artefact
   std::string fault_plan_file;  ///< empty = perfect world
   int replica_floor = 0;        ///< 0 = no self-healing floor
-  int shards = 0;               ///< 0 = serial engine; K = sharded engine
   /// Backbone override: a "ts:"/"sf:" generator spec or a topology file;
   /// empty = the built-in UUNET backbone. See MakeBenchTopology.
   std::string topology;
 };
 
-/// Parses --jobs/--json/--fault-plan/--replica-floor/--shards/--topology/
-/// --oracle (either "--flag value" or "--flag=value") plus --help. jobs
-/// defaults to $RADAR_BENCH_JOBS, shards to $RADAR_BENCH_SHARDS, topology
-/// to $RADAR_BENCH_TOPOLOGY, oracle to $RADAR_BENCH_ORACLE. --shards and
-/// --oracle also export their environment variable so PaperConfig()
-/// (called after parsing in every bench) picks the value up without
-/// per-binary plumbing. Prints usage and exits(2) on a malformed command
-/// line, exits(0) on --help.
+/// Parses --jobs/--json/--fault-plan/--replica-floor/--topology/--oracle
+/// (either "--flag value" or "--flag=value") plus --help. jobs defaults
+/// to $RADAR_BENCH_JOBS, topology to $RADAR_BENCH_TOPOLOGY, oracle to
+/// $RADAR_BENCH_ORACLE. --oracle also exports its environment variable
+/// so PaperConfig() (called after parsing in every bench) picks the value
+/// up without per-binary plumbing. Prints usage and exits(2) on a
+/// malformed command line, exits(0) on --help.
 BenchOptions ParseBenchArgs(int argc, char** argv);
 
 /// The backbone selected by options.topology: the UUNET default when

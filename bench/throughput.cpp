@@ -18,16 +18,11 @@
 //                 reported (default $RADAR_PERF_REPS, else 1)
 //   --scale NAME  run only the named scale (small / small-sparse /
 //                 medium / large)
-//   --shards K    run the shard-parallel engine with K shards (0 =
-//                 serial engine; default $RADAR_BENCH_SHARDS, else 0).
-//                 Sharded runs report the sharded mode's own request
-//                 totals — compare them across K, not against serial.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,7 +30,6 @@
 #include "driver/hosting_simulation.h"
 #include "driver/report.h"
 #include "driver/report_json.h"
-#include "runner/shard_executor.h"
 
 namespace {
 
@@ -88,26 +82,19 @@ double EnvOr(const char* name, double fallback) {
   return end != value ? parsed : fallback;
 }
 
-Measurement RunScale(const Scale& scale, std::uint64_t seed, int shards) {
+Measurement RunScale(const Scale& scale, std::uint64_t seed) {
   driver::SimConfig config;
   config.duration = SecondsToSim(scale.sim_seconds);
   config.num_objects = scale.objects;
   config.seed = seed;
   config.workload = driver::WorkloadKind::kZipf;
-  config.shards = shards;
   config.oracle = scale.oracle;
 
-  // Construction (routing tables, latency matrices, the shard pool) is
-  // charged to the measurement: precomputation must pay for itself end
-  // to end.
+  // Construction (routing tables, latency matrices) is charged to the
+  // measurement: precomputation must pay for itself end to end.
   const double cpu_start = ProcessCpuSeconds();
   const auto start = std::chrono::steady_clock::now();
   driver::HostingSimulation sim(config);
-  std::unique_ptr<runner::PoolShardExecutor> executor;
-  if (shards >= 1) {
-    executor = std::make_unique<runner::PoolShardExecutor>(shards);
-    sim.set_window_executor(executor.get());
-  }
   const driver::RunReport report = sim.Run();
   const auto stop = std::chrono::steady_clock::now();
   const double cpu_stop = ProcessCpuSeconds();
@@ -133,15 +120,12 @@ Measurement RunScale(const Scale& scale, std::uint64_t seed, int shards) {
 
 [[noreturn]] void UsageAndExit(const char* argv0, int code) {
   std::fprintf(stderr,
-               "usage: %s [--json PATH] [--reps N] [--scale NAME]"
-               " [--shards K]\n"
+               "usage: %s [--json PATH] [--reps N] [--scale NAME]\n"
                "  --json PATH   write the radar.perfbench/1 document\n"
                "  --reps N      repetitions per scale, best rep reported\n"
                "                (default $RADAR_PERF_REPS, else 1)\n"
                "  --scale NAME  run only this scale (small / small-sparse /"
-               " medium / large)\n"
-               "  --shards K    shard-parallel engine, K shards (0 =\n"
-               "                serial; default $RADAR_BENCH_SHARDS)\n",
+               " medium / large)\n",
                argv0);
   std::exit(code);
 }
@@ -152,7 +136,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string only_scale;
   int reps = static_cast<int>(EnvOr("RADAR_PERF_REPS", 1.0));
-  int shards = static_cast<int>(EnvOr("RADAR_BENCH_SHARDS", 0.0));
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -177,12 +160,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--scale" || arg.rfind("--scale=", 0) == 0) {
       only_scale = value_of("--scale");  // small/small-sparse/medium/large
-    } else if (arg == "--shards" || arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(value_of("--shards").c_str());
-      if (shards < 0) {
-        std::fprintf(stderr, "%s: --shards must be >= 0\n", argv[0]);
-        UsageAndExit(argv[0], 2);
-      }
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
                    arg.c_str());
@@ -199,18 +176,16 @@ int main(int argc, char** argv) {
   doc.Set("workload", "zipf");
   doc.Set("seed", static_cast<std::int64_t>(seed));
   doc.Set("reps", static_cast<std::int64_t>(reps));
-  doc.Set("shards", static_cast<std::int64_t>(shards));
   driver::JsonValue scales = driver::JsonValue::MakeArray();
 
-  std::printf("==== throughput: UUNET + Zipf, %d rep(s)/scale, shards=%d ====\n",
-              reps, shards);
+  std::printf("==== throughput: UUNET + Zipf, %d rep(s)/scale ====\n", reps);
   bool matched = false;
   for (const Scale& scale : kScales) {
     if (!only_scale.empty() && only_scale != scale.name) continue;
     matched = true;
     Measurement best;
     for (int rep = 0; rep < reps; ++rep) {
-      const Measurement m = RunScale(scale, seed, shards);
+      const Measurement m = RunScale(scale, seed);
       if (m.requests_per_sec > best.requests_per_sec) best = m;
     }
     std::printf(

@@ -1,15 +1,31 @@
 #include "driver/cli.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace radar::driver {
 namespace {
 
+/// Longest --duration accepted (~31.7 years of simulated time): far past
+/// any experiment, and far enough below SimTime's range that the clock
+/// never overflows.
+constexpr double kMaxDurationSeconds = 1e9;
+
+/// Per-second rates (--rate, --capacity) become whole-microsecond periods
+/// (1e6 / rate), which must be at least 1 us and at most the longest run.
+constexpr double kMaxRatePerSecond = 1e6;
+constexpr double kMinRatePerSecond = 1.0 / kMaxDurationSeconds;
+
+/// Accepts a finite number only: strtod also parses "nan" and "inf".
 bool ParseDouble(const std::string& value, double* out) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') return false;
+  if (end == value.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    return false;
+  }
   *out = parsed;
   return true;
 }
@@ -20,6 +36,18 @@ bool ParseInt(const std::string& value, long long* out) {
   if (end == value.c_str() || *end != '\0') return false;
   *out = parsed;
   return true;
+}
+
+/// ParseInt restricted to [min, INT32_MAX], so the value survives the
+/// narrowing to the 32-bit config fields.
+bool ParseInt32(const std::string& value, long long min, long long* out) {
+  return ParseInt(value, out) && *out >= min &&
+         *out <= std::numeric_limits<std::int32_t>::max();
+}
+
+bool ParseRate(const std::string& value, double* out) {
+  return ParseDouble(value, out) && *out >= kMinRatePerSecond &&
+         *out <= kMaxRatePerSecond;
 }
 
 std::optional<WorkloadKind> ParseWorkload(const std::string& value) {
@@ -81,8 +109,6 @@ usage: radar_sim [flags]
   --fault-plan=FILE           inject faults (see fault/fault_plan.h)
   --replica-floor=K           re-replicate objects below K live copies
   --jobs=N                    experiment-engine threads (0 = hardware)
-  --shards=K                  shard-parallel engine, K shards (0 = serial;
-                              any K >= 1 yields byte-identical reports)
   --help                      this text
 )";
 }
@@ -123,13 +149,15 @@ std::optional<CliOptions> ParseCli(const std::vector<std::string>& args,
       if (!kind) return fail("unknown workload '" + value + "'");
       options.config.workload = *kind;
     } else if (key == "duration") {
-      if (!ParseDouble(value, &d) || d <= 0.0) {
-        return fail("--duration must be a positive number of seconds");
+      if (!ParseDouble(value, &d) || d <= 0.0 || d > kMaxDurationSeconds ||
+          SecondsToSim(d) <= 0) {
+        return fail("--duration must be a positive number of seconds, from "
+                    "1e-6 to 1e9");
       }
       options.config.duration = SecondsToSim(d);
     } else if (key == "objects") {
-      if (!ParseInt(value, &i) || i <= 0) {
-        return fail("--objects must be a positive integer");
+      if (!ParseInt32(value, 1, &i)) {
+        return fail("--objects must be a positive 32-bit integer");
       }
       options.config.num_objects = static_cast<ObjectId>(i);
     } else if (key == "seed") {
@@ -138,23 +166,25 @@ std::optional<CliOptions> ParseCli(const std::vector<std::string>& args,
       }
       options.config.seed = static_cast<std::uint64_t>(i);
     } else if (key == "rate") {
-      if (!ParseDouble(value, &d) || d <= 0.0) {
-        return fail("--rate must be positive");
+      if (!ParseRate(value, &d)) {
+        return fail("--rate must be between 1e-9 and 1e6 requests per "
+                    "second");
       }
       options.config.node_request_rate = d;
     } else if (key == "capacity") {
-      if (!ParseDouble(value, &d) || d <= 0.0) {
-        return fail("--capacity must be positive");
+      if (!ParseRate(value, &d)) {
+        return fail("--capacity must be between 1e-9 and 1e6 requests per "
+                    "second");
       }
       options.config.server_capacity = d;
     } else if (key == "hw") {
       if (!ParseDouble(value, &d) || d <= 0.0) {
-        return fail("--hw must be positive");
+        return fail("--hw must be a positive finite number");
       }
       options.config.protocol.high_watermark = d;
     } else if (key == "lw") {
       if (!ParseDouble(value, &d) || d <= 0.0) {
-        return fail("--lw must be positive");
+        return fail("--lw must be a positive finite number");
       }
       options.config.protocol.low_watermark = d;
     } else if (key == "distribution") {
@@ -166,8 +196,8 @@ std::optional<CliOptions> ParseCli(const std::vector<std::string>& args,
       if (!policy) return fail("unknown placement '" + value + "'");
       options.config.placement = *policy;
     } else if (key == "redirectors") {
-      if (!ParseInt(value, &i) || i < 1) {
-        return fail("--redirectors must be >= 1");
+      if (!ParseInt32(value, 1, &i)) {
+        return fail("--redirectors must be >= 1 and fit 32 bits");
       }
       options.config.num_redirectors = static_cast<int>(i);
     } else if (key == "arrivals") {
@@ -197,20 +227,15 @@ std::optional<CliOptions> ParseCli(const std::vector<std::string>& args,
     } else if (key == "fault-plan") {
       options.fault_plan_file = value;
     } else if (key == "replica-floor") {
-      if (!ParseInt(value, &i) || i < 0) {
-        return fail("--replica-floor must be a non-negative integer");
+      if (!ParseInt32(value, 0, &i)) {
+        return fail("--replica-floor must be a non-negative 32-bit integer");
       }
       options.config.replica_floor = static_cast<int>(i);
     } else if (key == "jobs") {
-      if (!ParseInt(value, &i) || i < 0) {
-        return fail("--jobs must be a non-negative integer");
+      if (!ParseInt32(value, 0, &i)) {
+        return fail("--jobs must be a non-negative 32-bit integer");
       }
       options.jobs = static_cast<int>(i);
-    } else if (key == "shards") {
-      if (!ParseInt(value, &i) || i < 0) {
-        return fail("--shards must be a non-negative integer");
-      }
-      options.config.shards = static_cast<int>(i);
     } else {
       return fail("unknown flag --" + key);
     }

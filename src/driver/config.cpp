@@ -24,7 +24,6 @@ void SimConfig::Check() const {
   RADAR_CHECK_GE(num_redirectors, 1);
   RADAR_CHECK_GT(metric_bucket, 0);
   RADAR_CHECK_GE(replica_floor, 0);
-  RADAR_CHECK_GE(shards, 0);
   faults.Check();
   protocol.CheckStructure();
 }

@@ -60,14 +60,6 @@ struct SimConfig {
   /// are not synchronized). Disable to reproduce lock-step decisions.
   bool stagger_placement = true;
 
-  /// Shard-parallel execution (DESIGN.md §14): 0 = the serial engine
-  /// (default; the golden-pinned mode). K >= 1 partitions the hosts into
-  /// K shards and runs the request path under conservative time windows —
-  /// reports are byte-identical for every K >= 1, but form a distinct
-  /// mode from shards == 0. Requires a time-invariant workload, no trace
-  /// replay, and a distribution policy other than round-robin.
-  int shards = 0;
-
   /// Routing/latency backend (net/latency_oracle.h): kAuto picks dense
   /// below kSparseAutoThreshold nodes and the sparse gateway-pivot
   /// oracle at or above it; kDense / kSparse force a backend.

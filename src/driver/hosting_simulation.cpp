@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "driver/shard_exec.h"
 
 namespace radar::driver {
 namespace {
@@ -467,8 +466,6 @@ void HostingSimulation::StepUntil(SimTime until) {
 }
 
 void HostingSimulation::InstallTransferHook() {
-  // Object copies (placement, repair) always run on the coordinator
-  // track, so the hook writes coordinator-owned stats in both engines.
   cluster_->set_transfer_hook([this](NodeId from, NodeId to, ObjectId,
                                      core::CreateObjMethod, bool copied) {
     if (!copied) return;  // affinity increments move no object bytes
@@ -544,14 +541,7 @@ void HostingSimulation::RebuildRouting(SimTime t) {
   net_.RebuildDense(injector_->LiveGraph());
 }
 
-RunReport HostingSimulation::Run() {
-  if (config_.shards >= 1) {
-    ShardedExecution exec(this, config_.shards, window_executor_);
-    return exec.Run();
-  }
-  StepUntil(config_.duration);
-  return Finalize();
-}
+RunReport HostingSimulation::Run() { return Finalize(); }
 
 RunReport HostingSimulation::Finalize() {
   RADAR_CHECK_MSG(!finalized_, "Finalize() may only be called once");

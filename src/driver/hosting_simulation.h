@@ -33,7 +33,6 @@
 #include "net/topology.h"
 #include "net/uunet.h"
 #include "sim/fcfs_server.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "workload/trace.h"
 #include "workload/workload.h"
@@ -77,21 +76,10 @@ class HostingSimulation {
   /// num_objects. Must be called before Run().
   void SetTrace(workload::RequestTrace trace);
 
-  /// Executes the simulation and returns the collected report. Run() may
-  /// be called once per instance. With config.shards == 0 this is the
-  /// serial engine — StepUntil(duration) followed by Finalize(). With
-  /// config.shards >= 1 the request path runs shard-parallel
-  /// (driver/shard_exec.h) under conservative time windows; results are
-  /// byte-identical for every shard count but form their own mode (the
-  /// serial golden is pinned to shards == 0).
+  /// Executes the whole simulation and returns the collected report
+  /// (Finalize() runs any remaining time). May be called once per
+  /// instance.
   RunReport Run();
-
-  /// Supplies the thread pool that runs shard windows (sharded mode only;
-  /// see runner/shard_executor.h). Null — the default — executes windows
-  /// inline, which is the byte-identical single-threaded reference.
-  void set_window_executor(sim::WindowExecutor* executor) {
-    window_executor_ = executor;
-  }
 
   /// Incremental execution: advances simulated time to `until` (clamped to
   /// the configured duration), setting up the schedule on the first call.
@@ -129,15 +117,10 @@ class HostingSimulation {
   /// Current simulated time.
   SimTime Now() const { return sim_.Now(); }
 
-  /// Discrete events executed so far (throughput benchmarking). Includes
-  /// every shard queue's events after a sharded run.
-  std::uint64_t events_executed() const {
-    return sim_.events_executed() + shard_events_executed_;
-  }
+  /// Discrete events executed so far (throughput benchmarking).
+  std::uint64_t events_executed() const { return sim_.events_executed(); }
 
  private:
-  friend class ShardedExecution;
-
   void InstallTransferHook();
   void BuildWorkloadFromConfig();
   void PlaceInitialObjects();
@@ -221,12 +204,9 @@ class HostingSimulation {
   std::unique_ptr<fault::AvailabilityTracker> availability_;
   std::unique_ptr<fault::ReplicaRepairer> repairer_;
   std::unique_ptr<RunReport> report_;
-  /// Scratch for canonical-path walks (CompleteService, transfer hook);
-  /// serial-engine-only state, reused so the hot path never allocates.
+  /// Scratch for canonical-path walks (CompleteService, transfer hook),
+  /// reused so the hot path never allocates.
   std::vector<NodeId> path_scratch_;
-  /// Shard-queue event total, folded in by a sharded run's merge.
-  std::uint64_t shard_events_executed_ = 0;
-  sim::WindowExecutor* window_executor_ = nullptr;
   bool started_ = false;
   bool finalized_ = false;
 };

@@ -7,12 +7,10 @@
 namespace radar::fault {
 namespace {
 
-// Stream-index bases keeping host, link, message, and request-fate
-// streams disjoint for any realistic topology size (hosts occupy
-// [0, 2^20)).
+// Stream-index bases keeping host, link, and message streams disjoint
+// for any realistic topology size (hosts occupy [0, 2^20)).
 constexpr std::uint64_t kLinkStreamBase = 1ULL << 20;
 constexpr std::uint64_t kMessageStream = 1ULL << 21;
-constexpr std::uint64_t kFateStreamBase = 1ULL << 22;
 
 }  // namespace
 
@@ -39,7 +37,6 @@ FaultInjector::FaultInjector(FaultPlan plan, const net::Graph& graph,
     link_rngs_.push_back(root.Fork(kLinkStreamBase + l));
   }
   msg_rng_ = root.Fork(kMessageStream);
-  fate_root_ = root;
 }
 
 void FaultInjector::Start() {
@@ -112,36 +109,6 @@ FaultInjector::RequestFate FaultInjector::FateForRequestLeg() {
     fate.delay = plan_.request_delay;
   }
   return fate;
-}
-
-FaultInjector::RequestFate FaultInjector::RequestFateStream::Next() {
-  RequestFate fate;
-  if (drop_prob_ > 0.0 && rng_.NextBool(drop_prob_)) {
-    ++dropped_;
-    fate.dropped = true;
-    return fate;
-  }
-  if (delay_prob_ > 0.0 && rng_.NextBool(delay_prob_)) {
-    ++delayed_;
-    fate.delay = delay_;
-  }
-  return fate;
-}
-
-FaultInjector::RequestFateStream FaultInjector::MakeRequestFateStream(
-    std::uint64_t salt) const {
-  RequestFateStream stream;
-  stream.rng_ = fate_root_.Fork(kFateStreamBase + salt);
-  stream.drop_prob_ = plan_.DropProb(MessageClass::kRequest);
-  stream.delay_prob_ = plan_.request_delay_prob;
-  stream.delay_ = plan_.request_delay;
-  return stream;
-}
-
-void FaultInjector::AbsorbRequestFateCounters(
-    const RequestFateStream& stream) {
-  counters_.requests_dropped += stream.dropped_;
-  counters_.requests_delayed += stream.delayed_;
 }
 
 core::RpcFate FaultInjector::FateForCreateObj(NodeId to,
@@ -315,7 +282,6 @@ std::size_t FaultInjector::ResolveLink(NodeId a, NodeId b) const {
 }
 
 void FaultInjector::NotifyTopologyChange() {
-  ++topology_epoch_;
   if (hooks_.on_topology_change) hooks_.on_topology_change(sim_->Now());
 }
 

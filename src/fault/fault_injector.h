@@ -104,8 +104,6 @@ class FaultInjector {
   /// Increments on every crash of `n`; completions admitted before a crash
   /// compare epochs to detect that their host died under them.
   std::uint32_t crash_epoch(NodeId n) const;
-  /// Increments on every applied link state change.
-  std::uint64_t topology_epoch() const { return topology_epoch_; }
   bool quiesced() const { return quiesced_; }
 
   /// The backbone restricted to links currently up (always connected, by
@@ -121,47 +119,6 @@ class FaultInjector {
 
   /// Samples the fate of one request's control legs.
   RequestFate FateForRequestLeg();
-
-  /// An independent request-fate sampler for one shard-owned actor.
-  ///
-  /// The serial engine draws every request fate from the injector's
-  /// single message stream in global event order; shards cannot share
-  /// that stream without racing, and its draw order would depend on the
-  /// partitioning anyway. A RequestFateStream is forked per gateway: its
-  /// draw order is that gateway's arrival order, which no partitioning
-  /// perturbs, so the sharded fate realization is a pure function of
-  /// (plan, seed, gateway) — identical for every shard count. Drop/delay
-  /// tallies accumulate locally and are folded into the injector's
-  /// counters at the end of the run (integer sums commute exactly).
-  class RequestFateStream {
-   public:
-    /// A never-drop stream (used when no fault layer is active).
-    RequestFateStream() = default;
-
-    RequestFate Next();
-
-    std::int64_t dropped() const { return dropped_; }
-    std::int64_t delayed() const { return delayed_; }
-
-   private:
-    friend class FaultInjector;
-    Rng rng_{0};
-    double drop_prob_ = 0.0;
-    double delay_prob_ = 0.0;
-    SimTime delay_ = 0;
-    std::int64_t dropped_ = 0;
-    std::int64_t delayed_ = 0;
-  };
-
-  /// Forks a request-fate stream for the actor identified by `salt`
-  /// (the sharded engine passes the gateway node id). Streams of
-  /// distinct salts are independent of each other, of the serial message
-  /// stream, and of the host/link fault processes.
-  RequestFateStream MakeRequestFateStream(std::uint64_t salt) const;
-
-  /// Adds a stream's drop/delay tallies into the injector's counters.
-  /// Call once per stream, after the run's last draw.
-  void AbsorbRequestFateCounters(const RequestFateStream& stream);
 
   /// Samples the fate of one CreateObj exchange addressed to `to`:
   /// kLost when the recipient is down or every resend was lost,
@@ -197,9 +154,6 @@ class FaultInjector {
   std::vector<Rng> host_rngs_;
   std::vector<Rng> link_rngs_;
   Rng msg_rng_;
-  /// Root for per-actor request-fate streams (MakeRequestFateStream).
-  Rng fate_root_;
-  std::uint64_t topology_epoch_ = 0;
   bool quiesced_ = false;
   bool started_ = false;
   FaultCounters counters_;

@@ -258,30 +258,6 @@ void GatewayPivotOracle::AppendPath(NodeId a, NodeId b,
   std::reverse(out->begin() + start, out->end());
 }
 
-SimTime GatewayPivotOracle::MinCrossPartitionControl(
-    const std::vector<int>& partition) const {
-  RADAR_CHECK_EQ(partition.size(), static_cast<std::size_t>(num_nodes_));
-  // Exact in O(links), no matrix needed: with hop-count routing, two
-  // adjacent nodes always route over their direct link, so Control(u, v)
-  // for a live cut edge (u, v) is exactly that link's delay. Any other
-  // cross-partition pair's control path crosses the cut somewhere and
-  // accumulates at least one cut edge's delay (delays are non-negative),
-  // so the all-pairs minimum the dense matrix scans for is achieved on a
-  // cut edge — the value below is bit-identical to the dense scan.
-  SimTime best = kNoCrossPartition;
-  const std::vector<Link>& links = graph_->links();
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    if (link_up_[i] == 0) continue;
-    const Link& link = links[i];
-    if (partition[static_cast<std::size_t>(link.a)] ==
-        partition[static_cast<std::size_t>(link.b)]) {
-      continue;
-    }
-    if (best == kNoCrossPartition || link.delay < best) best = link.delay;
-  }
-  return best;
-}
-
 void GatewayPivotOracle::OnLinkChange(std::int32_t link_index, bool up) {
   RADAR_CHECK_GE(link_index, 0);
   RADAR_CHECK_LT(static_cast<std::size_t>(link_index), link_up_.size());

@@ -48,12 +48,11 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "net/graph.h"
-#include "net/latency_oracle.h"
 #include "net/routing.h"
 
 namespace radar::net {
 
-class GatewayPivotOracle final : public LatencyOracle {
+class GatewayPivotOracle {
  public:
   /// Builds rows for `seed_sources` (typically the gateway set; sorted
   /// and deduplicated internally, must be non-empty) over `graph`, which
@@ -63,7 +62,7 @@ class GatewayPivotOracle final : public LatencyOracle {
   GatewayPivotOracle(const Graph& graph, std::vector<NodeId> seed_sources,
                      std::int64_t object_bytes);
 
-  std::int32_t num_nodes() const override { return num_nodes_; }
+  std::int32_t num_nodes() const { return num_nodes_; }
   std::int64_t object_bytes() const { return object_bytes_; }
   std::size_t num_rows() const { return rowed_.size(); }
 
@@ -76,12 +75,12 @@ class GatewayPivotOracle final : public LatencyOracle {
     return row_of_[static_cast<std::size_t>(Checked(a))] >= 0;
   }
 
-  SimTime Control(NodeId a, NodeId b) const override;
-  SimTime Transfer(NodeId a, NodeId b) const override;
+  SimTime Control(NodeId a, NodeId b) const;
+  SimTime Transfer(NodeId a, NodeId b) const;
 
   /// Row of control latencies from `a`, or nullptr when `a` is not a
   /// rowed source (hot dispatch only ever asks for gateway/home rows).
-  const SimTime* ControlRow(NodeId a) const override {
+  const SimTime* ControlRow(NodeId a) const {
     const std::int32_t r = row_of_[static_cast<std::size_t>(Checked(a))];
     return r < 0 ? nullptr : &ctrl_[RowBase(r)];
   }
@@ -100,16 +99,6 @@ class GatewayPivotOracle final : public LatencyOracle {
   /// endpoints, to `*out` without clearing it. Allocation-free at steady
   /// capacity and safe to call concurrently (no shared mutable state).
   void AppendPath(NodeId a, NodeId b, std::vector<NodeId>* out) const;
-
-  SimTime MinCrossPartitionControl(
-      const std::vector<int>& partition) const override;
-
-  /// Pivot (nearest rowed source) of a node; nodes in the same pivot
-  /// cluster are topologically close, which the sharded engine uses to
-  /// partition hosts without n^2 pair scans.
-  NodeId PivotOf(NodeId a) const {
-    return pivot_of_[static_cast<std::size_t>(Checked(a))];
-  }
 
   /// Applies one link state change (up = restored, down = failed) and
   /// incrementally recomputes only the affected trees. The masked graph

@@ -1,28 +1,25 @@
-// Abstract per-pair latency lookup.
+// Which per-pair latency backend a run uses.
 //
 // The request engine needs two latencies per (a, b) node pair — control
 // (per-link propagation along the canonical route) and transfer (per link:
 // propagation plus serialization of one fixed-size object, truncated to
-// integer microseconds per link before summing). Two implementations
-// exist: the dense PathLatencyMatrix (two n^2 arrays, exact for every
+// integer microseconds per link before summing). Two backends answer
+// them: the dense PathLatencyMatrix (two n^2 arrays, exact for every
 // ordered pair, rebuilt per fault epoch — right for paper-scale graphs)
 // and the sparse GatewayPivotOracle (O(rows x n) gateway/home rows plus
 // pivot labels for the long tail — right for 10k+ node graphs where n^2
 // does not fit). Both honor the same truncate-then-sum arithmetic, so on
 // the pairs they both answer exactly the results are bit-identical.
+// net::NetModel (net/net_model.h) holds exactly one of them per run.
 //
-// ControlRow deliberately returns a nullable pointer: dense oracles have
-// a row for every source, sparse oracles only for registered sources
-// (gateways and redirector homes — exactly the sources the RADAR_HOT
+// ControlRow deliberately returns a nullable pointer: the dense matrix
+// has a row for every source, the sparse oracle only for registered
+// sources (gateways and redirector homes — exactly the sources the hot
 // dispatch loop uses). Callers on cold paths use the scalar accessors,
-// which every oracle answers for every pair.
+// which both backends answer for every pair.
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "common/types.h"
-#include "net/graph.h"
 
 namespace radar::net {
 
@@ -40,34 +37,5 @@ inline constexpr std::int32_t kSparseAutoThreshold = 1024;
 
 /// Resolves kAuto against a concrete node count.
 OracleKind ResolveOracleKind(OracleKind kind, std::int32_t num_nodes);
-
-class LatencyOracle {
- public:
-  virtual ~LatencyOracle() = default;
-
-  virtual std::int32_t num_nodes() const = 0;
-
-  /// Propagation-only latency along the canonical path a -> b.
-  virtual SimTime Control(NodeId a, NodeId b) const = 0;
-
-  /// Store-and-forward latency of one object along the path a -> b.
-  virtual SimTime Transfer(NodeId a, NodeId b) const = 0;
-
-  /// Row a of the control matrix (row[b] == Control(a, b)), or nullptr
-  /// when this oracle keeps no precomputed row for `a`.
-  virtual const SimTime* ControlRow(NodeId a) const = 0;
-
-  /// The minimum control latency over node pairs assigned to different
-  /// partitions — the conservative lookahead of a shard-parallel run
-  /// (sim/shard.h): a message between shards can never arrive sooner.
-  /// `partition` maps each node to its partition id (size == num_nodes).
-  /// Returns kNoCrossPartition when every node shares one partition.
-  /// Sparse oracles may scan only pairs with a registered source; that
-  /// stays conservative because every cross-shard message leg originates
-  /// at a gateway or redirector home (see DESIGN.md §15).
-  static constexpr SimTime kNoCrossPartition = -1;
-  virtual SimTime MinCrossPartitionControl(
-      const std::vector<int>& partition) const = 0;
-};
 
 }  // namespace radar::net

@@ -99,15 +99,6 @@ std::pair<NodeId, NodeId> LinkStats::BusiestHop() const {
   return best;
 }
 
-void LinkStats::Merge(const LinkStats& other) {
-  RADAR_CHECK_EQ(graph_->num_nodes(), other.graph_->num_nodes());
-  RADAR_CHECK_EQ(per_dir_bytes_.size(), other.per_dir_bytes_.size());
-  for (std::size_t i = 0; i < per_dir_bytes_.size(); ++i) {
-    per_dir_bytes_[i] += other.per_dir_bytes_[i];
-  }
-  total_byte_hops_ += other.total_byte_hops_;
-}
-
 void LinkStats::Reset() {
   total_byte_hops_ = 0;
   std::fill(per_dir_bytes_.begin(), per_dir_bytes_.end(), 0);

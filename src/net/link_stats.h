@@ -4,8 +4,8 @@
 // traverses, the bytes transmitted on that hop (Sec. 6.2). LinkStats keeps
 // the aggregate byte-hops figure and per-directed-link totals for hot-link
 // inspection. Storage is two counters per backbone link (one per
-// direction) — an n^2 matrix would be ~800 MB per instance at 10k nodes,
-// replicated once per shard. The (from, to) -> counter lookup runs once
+// direction) — an n^2 matrix would be ~800 MB per instance at 10k nodes.
+// The (from, to) -> counter lookup runs once
 // per hop of every serviced request, so it is a single-probe open-
 // addressing hash built over the directed links at construction (~16
 // bytes per directed link at 25% load factor); searching the adjacency
@@ -45,11 +45,6 @@ class LinkStats {
   /// dense row-major scan this replaces did.
   std::pair<NodeId, NodeId> BusiestHop() const;
 
-  /// Adds `other`'s per-hop totals into this instance (same graph).
-  /// Integer accumulation commutes exactly, so per-shard instances merged
-  /// at the end of a run match a serial run's totals bit for bit.
-  void Merge(const LinkStats& other);
-
   void Reset();
 
  private:
@@ -63,8 +58,8 @@ class LinkStats {
 
   // Open-addressing hash over directed hops: hop_keys_ holds the packed
   // (from << 32 | to) key (kEmptyHop when vacant), hop_values_ the
-  // matching per_dir_bytes_ index. Power-of-two sized, never mutated
-  // after construction, so lookups are wait-free from shard threads.
+  // matching per_dir_bytes_ index. Power-of-two sized and never mutated
+  // after construction.
   static constexpr std::uint64_t kEmptyHop = ~std::uint64_t{0};
   std::vector<std::uint64_t> hop_keys_;
   std::vector<std::uint32_t> hop_values_;

@@ -63,13 +63,8 @@ class NetModel {
     return sparse_ ? sparse_->ControlRow(a) : matrix_->ControlRow(a);
   }
 
-  SimTime MinCrossPartitionControl(const std::vector<int>& partition) const {
-    return sparse_ ? sparse_->MinCrossPartitionControl(partition)
-                   : matrix_->MinCrossPartitionControl(partition);
-  }
-
   /// Appends the canonical route for (a, b), endpoints inclusive, to
-  /// `*out`. Allocation-free at steady capacity; safe from shard threads.
+  /// `*out`. Allocation-free at steady capacity.
   void AppendPath(NodeId a, NodeId b, std::vector<NodeId>* out) const {
     if (sparse_) {
       sparse_->AppendPath(a, b, out);
@@ -98,12 +93,6 @@ class NetModel {
 
   /// Sparse fault epoch: apply one link event incrementally.
   void OnLinkChange(std::int32_t link_index, bool up);
-
-  /// The active latency oracle (for code written against the interface).
-  const LatencyOracle& oracle() const {
-    return sparse_ ? static_cast<const LatencyOracle&>(*sparse_)
-                   : static_cast<const LatencyOracle&>(*matrix_);
-  }
 
   // Backend-specific introspection.
   const RoutingTable& routing() const {

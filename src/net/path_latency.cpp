@@ -74,19 +74,4 @@ PathLatencyMatrix::PathLatencyMatrix(const RoutingTable& routing,
   }
 }
 
-SimTime PathLatencyMatrix::MinCrossPartitionControl(
-    const std::vector<int>& partition) const {
-  RADAR_CHECK_EQ(partition.size(), static_cast<std::size_t>(num_nodes_));
-  SimTime best = kNoCrossPartition;
-  for (NodeId a = 0; a < num_nodes_; ++a) {
-    const std::size_t pa = static_cast<std::size_t>(a);
-    for (NodeId b = 0; b < num_nodes_; ++b) {
-      if (partition[pa] == partition[static_cast<std::size_t>(b)]) continue;
-      const SimTime c = control_[Index(a, b)];
-      if (best == kNoCrossPartition || c < best) best = c;
-    }
-  }
-  return best;
-}
-
 }  // namespace radar::net

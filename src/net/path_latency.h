@@ -30,30 +30,29 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "net/graph.h"
-#include "net/latency_oracle.h"
 #include "net/routing.h"
 
 namespace radar::net {
 
-class PathLatencyMatrix final : public LatencyOracle {
+class PathLatencyMatrix {
  public:
   /// Precomputes both n x n matrices for `object_bytes`-sized transfers.
   /// `routing` and `graph` must describe the same topology.
   PathLatencyMatrix(const RoutingTable& routing, const Graph& graph,
                     std::int64_t object_bytes);
 
-  std::int32_t num_nodes() const override { return num_nodes_; }
+  std::int32_t num_nodes() const { return num_nodes_; }
   std::int64_t object_bytes() const { return object_bytes_; }
 
   /// Propagation-only latency along the canonical path a -> b.
-  SimTime Control(NodeId a, NodeId b) const override {
+  SimTime Control(NodeId a, NodeId b) const {
     return control_[Index(a, b)];
   }
 
   /// Row a of the control matrix (row[b] == Control(a, b)): bounds-checks
   /// the source once for hot callers that resolve several legs. Never
   /// nullptr — the dense matrix has a row for every source.
-  const SimTime* ControlRow(NodeId a) const override {
+  const SimTime* ControlRow(NodeId a) const {
     RADAR_CHECK_GE(a, 0);
     RADAR_CHECK_LT(a, num_nodes_);
     return &control_[static_cast<std::size_t>(a) *
@@ -61,12 +60,9 @@ class PathLatencyMatrix final : public LatencyOracle {
   }
 
   /// Store-and-forward latency of one object along the path a -> b.
-  SimTime Transfer(NodeId a, NodeId b) const override {
+  SimTime Transfer(NodeId a, NodeId b) const {
     return transfer_[Index(a, b)];
   }
-
-  SimTime MinCrossPartitionControl(
-      const std::vector<int>& partition) const override;
 
  private:
   std::size_t Index(NodeId a, NodeId b) const {

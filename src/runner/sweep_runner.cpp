@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "driver/hosting_simulation.h"
-#include "runner/shard_executor.h"
 #include "runner/thread_pool.h"
 
 namespace radar::runner {
@@ -38,20 +37,10 @@ SweepResult SweepRunner::Run(const ExperimentPlan& plan) const {
         const ExperimentRun& run = runs[i];
         driver::SimConfig config = run.config;
         config.seed = plan.SeedFor(i);
-        const auto execute = [&config, &run]() -> driver::RunReport {
-          if (run.execute != nullptr) return run.execute(config);
-          if (config.shards >= 1) {
-            // Sharded engine: windows run on a per-run pool sized to the
-            // shard count (nested under the sweep pool, which is sized
-            // for whole runs; results are identical either way).
-            PoolShardExecutor executor(config.shards);
-            driver::HostingSimulation sim(config);
-            sim.set_window_executor(&executor);
-            return sim.Run();
-          }
-          return driver::HostingSimulation(config).Run();
-        };
-        slots[i].emplace(RunResult{run.name, config.seed, execute()});
+        driver::RunReport report =
+            run.execute != nullptr ? run.execute(config)
+                                   : driver::HostingSimulation(config).Run();
+        slots[i].emplace(RunResult{run.name, config.seed, std::move(report)});
       });
     }
     pool.Wait();

@@ -64,55 +64,6 @@ class EventQueue {
   }
   // RADAR_HOT_END
 
-  // -- Seq reservation protocol (sharded execution) --
-  //
-  // Sequence allocation was historically a single counter (next_seq_)
-  // shared by every push site, which silently assumed one queue per run:
-  // two queues filled independently would hand out overlapping seqs, and
-  // merging their event streams (what the shard barrier does) could then
-  // tie-break equal-time events differently than a serial run. The
-  // reservation protocol makes multi-queue seq assignment explicit:
-  //
-  //   1. ReserveKeySpace(bound) reserves seqs [0, bound) for *model-
-  //      assigned keys* and rebases the automatic counter to `bound`, so
-  //      no Push/ArmStream can ever collide with a key.
-  //   2. PushAtSeq(when, key, fn) enqueues under a caller-assigned key
-  //      from the reserved range. Keys must be globally unique across all
-  //      queues of a run (the sharded engine derives them from per-gateway
-  //      request counters, which no partitioning can perturb).
-  //
-  // Because every key is below every automatic seq, a keyed event always
-  // precedes an automatic event at the same timestamp — a tie-break that
-  // is invariant under how events are distributed across queues. Keyed
-  // pushes outside the shard engine are rejected by radar_lint's
-  // seq-reservation rule.
-
-  /// Reserves seqs [0, bound) for PushAtSeq keys and rebases automatic
-  /// allocation to start at `bound`. Call once, before any keyed push;
-  /// re-reserving never shrinks the range or rewinds the counter.
-  void ReserveKeySpace(std::uint64_t bound) {
-    RADAR_CHECK_GT(bound, 0u);
-    RADAR_CHECK_LE(bound, std::uint64_t{1} << (64 - kSlotBits - 1));
-    RADAR_CHECK_LE(key_bound_, bound);
-    key_bound_ = bound;
-    if (next_seq_ < bound) next_seq_ = bound;
-  }
-
-  /// Enqueues an event under the caller-assigned sequence key `key`,
-  /// which must lie in the reserved key space and be unique for the
-  /// queue's lifetime. Ordering is exactly Push's (when, seq) order with
-  /// seq = key.
-  template <class F>
-  void PushAtSeq(SimTime when, std::uint64_t key, F&& fn) {
-    RADAR_CHECK_GE(when, 0);
-    RADAR_CHECK_MSG(key_bound_ != 0,
-                    "PushAtSeq requires a prior ReserveKeySpace");
-    RADAR_CHECK_LT(key, key_bound_);
-    const std::uint32_t slot = AcquireSlot();
-    SlotRef(slot) = std::forward<F>(fn);
-    PushEntry(Entry{when, (key << kSlotBits) | slot});
-  }
-
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
@@ -263,9 +214,6 @@ class EventQueue {
   std::uint32_t num_slots_ = 0;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
-  /// Keys below this bound are reserved for PushAtSeq (0 = no reservation;
-  /// keyed pushes rejected). See the seq reservation protocol above.
-  std::uint64_t key_bound_ = 0;
 
   // Pinned streams: registered closures plus a sorted ring of armed
   // firings (Entry reused with the stream id in the slot bits), earliest

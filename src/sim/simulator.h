@@ -41,24 +41,6 @@ class Simulator {
   /// while a periodic task is registered; use RunUntil).
   void SchedulePeriodic(SimTime first_at, SimTime period, PeriodicFn fn);
 
-  // -- Keyed scheduling (seq reservation protocol; see event_queue.h) --
-  //
-  // The sharded engine assigns each event a model-derived sequence key so
-  // equal-time ordering is invariant under host partitioning. Reserve the
-  // key space once, then push under explicit keys; automatic Schedule
-  // seqs start above the reservation and can never collide.
-
-  /// Reserves seqs [0, bound) for ScheduleKeyedAt keys.
-  void ReserveKeySpace(std::uint64_t bound) { queue_.ReserveKeySpace(bound); }
-
-  /// Schedules `fn` at absolute time `when` under the caller-assigned
-  /// sequence key `key` (reserved, globally unique; not in the past).
-  template <class F>
-  void ScheduleKeyedAt(SimTime when, std::uint64_t key, F&& fn) {
-    RADAR_CHECK_GE(when, now_);
-    queue_.PushAtSeq(when, key, std::forward<F>(fn));
-  }
-
   // -- Pinned streams (see EventQueue) --
   //
   // For self-rescheduling high-frequency tasks whose closure never
@@ -90,11 +72,6 @@ class Simulator {
 
   std::uint64_t events_executed() const { return events_executed_; }
   std::size_t pending_events() const { return queue_.size(); }
-
-  /// Time of the earliest pending event (requires pending_events() > 0).
-  /// Pinned streams are not visible here — the shard window scheduler
-  /// uses this on the coordinator queue, which runs no streams.
-  SimTime NextEventTime() { return queue_.NextTime(); }
 
  private:
   /// A periodic task owns its tick closure in a stable heap slot; the

@@ -1,5 +1,7 @@
 #include "transport/node_config.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -21,11 +23,12 @@ bool ParseRole(const std::string& word, NodeRole* out) {
   return true;
 }
 
-bool Fail(std::string* error, int line_no, const std::string& what) {
-  if (error != nullptr) {
-    *error = "node config line " + std::to_string(line_no) + ": " + what;
-  }
-  return false;
+/// Parses the whole token as a T; trailing characters fail.
+template <class T>
+bool ParseToken(const std::string& token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -47,49 +50,52 @@ std::optional<NodeConfig> NodeConfig::Load(std::istream& in,
   NodeConfig config;
   std::string line;
   int line_no = 0;
-  bool ok = true;
-  while (ok && std::getline(in, line)) {
+  const auto fail = [&](const std::string& what) {
+    if (error != nullptr) {
+      *error = "node config line " + std::to_string(line_no) + ": " + what;
+    }
+    return std::nullopt;
+  };
+  while (std::getline(in, line)) {
     ++line_no;
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream fields(line);
-    std::int64_t id = 0;
-    std::string role_word;
-    if (!(fields >> id)) continue;  // blank / comment-only line
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    if (tokens.empty()) continue;  // blank / comment-only line
+    if (tokens.size() < 4 || tokens.size() > 5) {
+      return fail("want: <id> <role> <address> <port> [weight]");
+    }
     NodeEntry entry;
+    std::int64_t id = 0;
     std::int64_t port = 0;
-    if (!(fields >> role_word >> entry.address >> port)) {
-      ok = Fail(error, line_no, "want: <id> <role> <address> <port> [weight]");
-      break;
+    if (!ParseToken(tokens[0], &id)) {
+      return fail("id '" + tokens[0] + "' is not an integer");
     }
     if (id != static_cast<std::int64_t>(config.nodes_.size())) {
-      ok = Fail(error, line_no, "ids must be dense 0..n-1 in file order");
-      break;
+      return fail("ids must be dense 0..n-1 in file order");
     }
-    if (!ParseRole(role_word, &entry.role)) {
-      ok = Fail(error, line_no, "unknown role '" + role_word + "'");
-      break;
+    if (!ParseRole(tokens[1], &entry.role)) {
+      return fail("unknown role '" + tokens[1] + "'");
     }
-    if (port < 0 || port > 65535) {
-      ok = Fail(error, line_no, "port out of range");
-      break;
+    entry.address = tokens[2];
+    if (!ParseToken(tokens[3], &port) || port < 0 || port > 65535) {
+      return fail("port must be an integer in 0..65535");
     }
     if (port == 0 && entry.role != NodeRole::kClient) {
-      ok = Fail(error, line_no, "only clients may use port 0");
-      break;
+      return fail("only clients may use port 0");
     }
     entry.id = static_cast<NodeId>(id);
     entry.port = static_cast<std::uint16_t>(port);
-    if (fields >> entry.weight) {
-      if (!(entry.weight > 0.0)) {
-        ok = Fail(error, line_no, "weight must be positive");
-        break;
-      }
+    if (tokens.size() == 5 &&
+        (!ParseToken(tokens[4], &entry.weight) || !(entry.weight > 0.0) ||
+         !std::isfinite(entry.weight))) {
+      return fail("weight must be a positive finite number");
     }
     if (entry.role == NodeRole::kRedirector) {
       if (config.redirector_ != kInvalidNode) {
-        ok = Fail(error, line_no, "more than one redirector");
-        break;
+        return fail("more than one redirector");
       }
       config.redirector_ = entry.id;
     } else if (entry.role == NodeRole::kHost) {
@@ -97,7 +103,6 @@ std::optional<NodeConfig> NodeConfig::Load(std::istream& in,
     }
     config.nodes_.push_back(std::move(entry));
   }
-  if (!ok) return std::nullopt;
   if (config.nodes_.empty()) {
     if (error != nullptr) *error = "node config: no nodes";
     return std::nullopt;

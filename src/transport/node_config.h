@@ -6,6 +6,10 @@
 //
 //   <id> <role: host|redirector|client> <address> <port> [weight]
 //
+// Lines that are empty once the comment and whitespace are stripped are
+// skipped; every other line must consist of exactly these tokens, each
+// well-formed (integer id and port, positive finite weight).
+//
 // Ids must be dense 0..n-1 in file order (they double as wire NodeIds and
 // as simulator node ids during replay). Exactly one redirector is
 // required — real-mode v1 is hub-and-spoke. Clients take port 0 (they

@@ -20,6 +20,7 @@
 #include "driver/config.h"
 #include "driver/hosting_simulation.h"
 #include "driver/report_json.h"
+#include "fault/fault_plan.h"
 
 namespace radar {
 namespace {
@@ -71,12 +72,71 @@ TEST(GoldenDeterminismTest, Fig6ShortRunReportIsByteIdentical) {
          "document why in DESIGN.md";
 }
 
-TEST(GoldenDeterminismTest, RepeatRunsAreByteIdentical) {
-  driver::HostingSimulation a(GoldenConfig());
-  driver::HostingSimulation b(GoldenConfig());
-  const std::string dump_a = driver::ReportJson(a.Run()).Dump(2);
-  const std::string dump_b = driver::ReportJson(b.Run()).Dump(2);
-  EXPECT_EQ(dump_a, dump_b);
+std::string RunDump(const driver::SimConfig& config) {
+  driver::HostingSimulation sim(config);
+  const driver::RunReport report = sim.Run();
+  EXPECT_GT(report.total_requests, 0);
+  return driver::ReportJson(report).Dump(2);
+}
+
+// The golden pins one configuration; repeat runs pin the rest of the
+// engine's inputs that have no committed golden: Poisson arrivals (each
+// gateway's RNG stream draws its gaps) and a fault plan with a replica
+// floor (scripted and stochastic host/link faults, lossy and delayed
+// request legs, and the repair pass all draw from the fault RNGs).
+struct RepeatCase {
+  const char* name;
+  driver::SimConfig (*config)();
+};
+
+driver::SimConfig PoissonConfig() {
+  driver::SimConfig config = GoldenConfig();
+  config.arrivals = driver::ArrivalProcess::kPoisson;
+  return config;
+}
+
+driver::SimConfig FaultConfig() {
+  std::istringstream in(
+      "crash 3 20\n"
+      "recover 3 60\n"
+      "link-down 0 1 30\n"
+      "link-up 0 1 70\n"
+      "host-faults 400 40\n"
+      "loss request 0.02\n"
+      "delay request 0.05 30\n");
+  std::string error;
+  auto plan = fault::ParseFaultPlan(in, &error);
+  EXPECT_TRUE(plan.has_value()) << error;
+  driver::SimConfig config = GoldenConfig();
+  config.faults = plan.value_or(fault::FaultPlan{});
+  config.replica_floor = 2;
+  return config;
+}
+
+class GoldenDeterminismTest : public ::testing::TestWithParam<RepeatCase> {};
+
+TEST_P(GoldenDeterminismTest, RepeatRunsAreByteIdentical) {
+  const driver::SimConfig config = GetParam().config();
+  EXPECT_EQ(RunDump(config), RunDump(config));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, GoldenDeterminismTest,
+    ::testing::Values(RepeatCase{"golden", GoldenConfig},
+                      RepeatCase{"poisson", PoissonConfig},
+                      RepeatCase{"faults", FaultConfig}),
+    [](const ::testing::TestParamInfo<RepeatCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+TEST(GoldenDeterminismTest, SeedChangesTheRun) {
+  // Anti-pin: byte-equal repeats must not be vacuous — an engine that
+  // ignored its seed would also repeat itself.
+  driver::SimConfig seven = GoldenConfig();
+  seven.seed = 7;
+  driver::SimConfig eight = GoldenConfig();
+  eight.seed = 8;
+  EXPECT_NE(RunDump(seven), RunDump(eight));
 }
 
 }  // namespace

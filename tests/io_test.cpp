@@ -305,7 +305,22 @@ INSTANTIATE_TEST_SUITE_P(
                    "unknown placement"},
         BadCliCase{"bad_redirectors", "--redirectors=0", ">= 1"},
         BadCliCase{"bad_arrivals", "--arrivals=bursty", "deterministic"},
-        BadCliCase{"positional", "stray", "unrecognized"}),
+        BadCliCase{"positional", "stray", "unrecognized"},
+        // Out-of-range values: ones that would wrap in the 32-bit config
+        // fields, leave the microsecond clock's range, or truncate an
+        // arrival or service period to 0 us.
+        BadCliCase{"objects_wrap", "--objects=4294967297", "32-bit"},
+        BadCliCase{"redirectors_wrap", "--redirectors=4294967297", "32 bits"},
+        BadCliCase{"replica_floor_wrap", "--replica-floor=4294967297",
+                   "32-bit"},
+        BadCliCase{"jobs_wrap", "--jobs=4294967297", "32-bit"},
+        BadCliCase{"duration_nan", "--duration=nan", "positive"},
+        BadCliCase{"duration_huge", "--duration=1e300", "1e9"},
+        BadCliCase{"duration_sub_us", "--duration=1e-7", "1e-6"},
+        BadCliCase{"hw_nan", "--hw=nan", "finite"},
+        BadCliCase{"rate_inf", "--rate=inf", "1e6"},
+        BadCliCase{"rate_over_1e6", "--rate=2e6", "1e6"},
+        BadCliCase{"capacity_over_1e6", "--capacity=2e6", "1e6"}),
     [](const ::testing::TestParamInfo<BadCliCase>& param_info) {
       return param_info.param.name;
     });

@@ -1,16 +1,16 @@
-// Fixture: synchronization primitives inside src/sim/ (outside the
-// mailbox/barrier files) must trip shard-confinement.
+// Fixture: synchronization primitives anywhere in src/sim/ must trip
+// shard-confinement.
 #include <atomic>
 #include <mutex>
 
 namespace radar::sim {
 
-struct BadShardState {
+struct BadSimState {
   std::mutex lock;
   std::atomic<int> counter{0};
 };
 
-int Bump(BadShardState* state) {
+int Bump(BadSimState* state) {
   const std::lock_guard<std::mutex> guard(state->lock);
   return ++state->counter;
 }

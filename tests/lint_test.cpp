@@ -1,7 +1,7 @@
 // Tests for the radar_lint pass framework (tools/lint/linter.h): each
 // rule fires on a minimal violating snippet, stays quiet on idiomatic
 // code, the tree walker rejects the checked-in violating fixture, and the
-// shard-readiness report round-trips as radar.analysis/1 JSON.
+// shared-state report round-trips as radar.analysis/1 JSON.
 #include "lint/linter.h"
 
 #include <algorithm>
@@ -258,17 +258,9 @@ TEST(LintSourceTest, FlagsSyncPrimitivesInSimCode) {
       "shard-confinement"));
 }
 
-TEST(LintSourceTest, SyncAllowedInMailboxAndBarrierFiles) {
-  // The mailbox/barrier carve-out: the same tokens are fine when the file
-  // kind says so (AnalyzeTree sets this for sim/mailbox.h, sim/shard.h,
-  // sim/shard.cpp), and src/runner/ never forbids them.
-  FileKind mailbox_kind;
-  mailbox_kind.forbid_std_function = true;
-  mailbox_kind.allow_shard_sync = true;
-  EXPECT_FALSE(HasRule(
-      LintSource("src/sim/mailbox.h",
-                 "#pragma once\nstd::atomic<int> fence_{0};\n", mailbox_kind),
-      "shard-confinement"));
+TEST(LintSourceTest, SyncAllowedOutsideSim) {
+  // The rule is scoped to src/sim/: src/runner/, which owns the thread
+  // pool, uses the same tokens freely.
   EXPECT_FALSE(HasRule(
       LintSource("src/runner/pool.cpp", "std::mutex lock_;\n", Source()),
       "shard-confinement"));
@@ -283,45 +275,6 @@ TEST(LintSourceTest, ShardConfinementQuietOnLookalikes) {
                  "int mutex = 0;\n// std::mutex would be a violation\n",
                  sim_kind),
       "shard-confinement"));
-}
-
-// ---------------------------------------------------------------------
-// Seq reservation: keyed event pushes stay inside the protocol
-// ---------------------------------------------------------------------
-
-TEST(LintSourceTest, FlagsKeyedPushOutsideReservationProtocol) {
-  EXPECT_TRUE(HasRule(
-      LintSource("src/core/x.cpp", "sim->ScheduleKeyedAt(0, 7u, fn);\n",
-                 Source()),
-      "seq-reservation"));
-  EXPECT_TRUE(HasRule(
-      LintSource("src/driver/hosting_simulation.cpp",
-                 "queue.PushAtSeq(when, key, fn);\n", Source()),
-      "seq-reservation"));
-}
-
-TEST(LintSourceTest, KeyedPushAllowedInSimAndShardedEngine) {
-  FileKind keyed_kind;
-  keyed_kind.allow_keyed_push = true;
-  EXPECT_FALSE(HasRule(
-      LintSource("src/sim/simulator.h",
-                 "#pragma once\nvoid F() { queue_.PushAtSeq(t, k, fn); }\n",
-                 keyed_kind),
-      "seq-reservation"));
-  EXPECT_FALSE(HasRule(
-      LintSource("src/driver/shard_exec.cpp",
-                 "ss.sim.ScheduleKeyedAt(when, key, fn);\n", keyed_kind),
-      "seq-reservation"));
-}
-
-TEST(LintSourceTest, SeqReservationQuietOnNonCalls) {
-  // Declarations and mentions without a call do not fire: the rule is
-  // about call sites, the declarations live in sim/ headers anyway.
-  EXPECT_FALSE(HasRule(
-      LintSource("src/core/x.cpp",
-                 "// ScheduleKeyedAt is confined to sim/\nint PushAtSeq;\n",
-                 Source()),
-      "seq-reservation"));
 }
 
 // ---------------------------------------------------------------------
@@ -738,8 +691,8 @@ TEST(LintSourceTest, FlagsPlainMutableGlobal) {
 }
 
 TEST(LintSourceTest, FlagsAtomicGlobalNotInWhitelist) {
-  // Race-safe is necessary but not sufficient: unlisted state stays
-  // invisible to the shard-split plan.
+  // Race-safe is necessary but not sufficient: every piece of shared
+  // state must also be listed, with the reason it exists.
   EXPECT_TRUE(HasRule(
       LintSource("src/core/x.cpp", "std::atomic<int> g_hits{0};\n", Source()),
       "mutable-global"));
@@ -956,7 +909,6 @@ TEST(LintTreeTest, RejectsViolatingFixture) {
   EXPECT_TRUE(HasRule(violations, "thread-confinement"));
   EXPECT_TRUE(HasRule(violations, "sim-no-std-function"));
   EXPECT_TRUE(HasRule(violations, "shard-confinement"));
-  EXPECT_TRUE(HasRule(violations, "seq-reservation"));
   EXPECT_TRUE(HasRule(violations, "fault-confinement"));
   EXPECT_TRUE(HasRule(violations, "core-no-hash-maps"));
   EXPECT_TRUE(HasRule(violations, "net-rng-confinement"));
@@ -976,7 +928,7 @@ TEST(LintTreeTest, RejectsViolatingFixture) {
 TEST(LintTreeTest, RealSourceTreeIsClean) {
   // The same property the radar_lint ctest case enforces, kept here too so
   // a plain `ctest -R lint` covers both the engine and the tree. Beyond
-  // zero violations, the shard-readiness inventory must match the
+  // zero violations, the shared-state inventory must match the
   // whitelist exactly and the hot regions must be present and closed.
   const Analysis analysis =
       AnalyzeTree({std::string(RADAR_SOURCE_DIR) + "/src",

@@ -1,8 +1,8 @@
 // Property tests pinning the sparse GatewayPivotOracle to the dense
 // PathLatencyMatrix on randomized graphs:
 //  - all-rowed oracles answer every ordered pair bit-identically (the
-//    degeneracy the UUNET golden relies on), including min-cross-partition
-//    control and seed-centrality ordering;
+//    degeneracy the UUNET golden relies on), including seed-centrality
+//    ordering;
 //  - the equality survives scripted link-fault epochs applied via
 //    OnLinkChange, compared against dense state rebuilt over the filtered
 //    graph;
@@ -101,25 +101,6 @@ TEST(OracleEquivalenceTest, AllRowedMatchesDenseOnRandomGraphs) {
                 routing.HopDistance(a, (a + 1) % n));
     }
     EXPECT_EQ(sparse.NodesBySeedCentrality(), routing.NodesByCentrality());
-  }
-}
-
-TEST(OracleEquivalenceTest, AllRowedMinCrossPartitionMatchesDense) {
-  Rng rng(0xE1u);
-  const std::int32_t n = 96;
-  const Graph g = RandomConnectedGraph(n, n, rng);
-  const RoutingTable routing(g);
-  const PathLatencyMatrix dense(routing, g, kObjectBytes);
-  const GatewayPivotOracle sparse(g, AllNodes(n), kObjectBytes);
-  for (const int shards : {1, 2, 3, 5}) {
-    std::vector<int> partition(static_cast<std::size_t>(n));
-    for (NodeId v = 0; v < n; ++v) {
-      partition[static_cast<std::size_t>(v)] =
-          static_cast<int>(rng.NextBounded(static_cast<std::uint64_t>(shards)));
-    }
-    EXPECT_EQ(sparse.MinCrossPartitionControl(partition),
-              dense.MinCrossPartitionControl(partition))
-        << shards << " shards";
   }
 }
 

@@ -83,6 +83,17 @@ TEST(NodeConfigTest, RejectsMalformedInput) {
   EXPECT_FALSE(Parse("0 redirector\n", &error).has_value())
       << "short line must fail";
   EXPECT_FALSE(error.empty());
+  const std::string base =
+      "0 redirector 127.0.0.1 7000\n"
+      "1 host 127.0.0.1 7001\n";
+  EXPECT_FALSE(Parse(base + "l2 host 127.0.0.1 7002\n", &error).has_value())
+      << "a non-integer id must fail, not be skipped as a blank line";
+  EXPECT_FALSE(
+      Parse(base + "2 host 127.0.0.1 7003 fast\n", &error).has_value())
+      << "a non-numeric weight must fail";
+  EXPECT_FALSE(
+      Parse(base + "2 host 127.0.0.1 7003 2.0 extra\n", &error).has_value())
+      << "tokens after the weight must fail";
 }
 
 TEST(NodeConfigTest, CliqueDistance) {

@@ -1,9 +1,8 @@
-// Shard-readiness report: serializes a lint::Analysis as the
-// radar.analysis/1 JSON document (DESIGN.md §13). The report is the
-// checklist for the ROADMAP's shard-split PR: it enumerates every piece
-// of shared mutable state (whitelisted or not), every RADAR_HOT region,
-// and any outstanding violations, so "is the tree shard-ready?" is a
-// machine-checkable question.
+// Shared-state report: serializes a lint::Analysis as the
+// radar.analysis/1 JSON document (DESIGN.md §13). It enumerates every
+// piece of shared mutable state (whitelisted or not), every RADAR_HOT
+// region, and any outstanding violations, so "can concurrent runs of a
+// --jobs sweep interfere?" is a machine-checkable question.
 //
 // Serialization goes through driver::JsonValue, which is deterministic
 // (insertion-ordered objects, shortest-round-trip numbers): analyzing the
@@ -19,7 +18,7 @@
 
 namespace radar::lint {
 
-/// Schema tag of the shard-readiness report; bump the suffix on any
+/// Schema tag of the shared-state report; bump the suffix on any
 /// incompatible field change.
 inline constexpr std::string_view kAnalysisSchema = "radar.analysis/1";
 

@@ -171,8 +171,7 @@ void PassBannedTokens(const Ctx& ctx, const Code& code) {
                     "event code schedules millions of closures per run and "
                     "must use sim::InplaceFunction (sim/inplace_function.h)");
       }
-      if (kind.forbid_std_function && !kind.allow_shard_sync &&
-          t.text == "std" &&
+      if (kind.forbid_std_function && t.text == "std" &&
           (SeqStd(code, i, "mutex") || SeqStd(code, i, "shared_mutex") ||
            SeqStd(code, i, "recursive_mutex") ||
            SeqStd(code, i, "timed_mutex") ||
@@ -183,20 +182,10 @@ void PassBannedTokens(const Ctx& ctx, const Code& code) {
            SeqStd(code, i, "scoped_lock") || SeqStd(code, i, "shared_lock") ||
            SeqStd(code, i, "call_once") || SeqStd(code, i, "once_flag"))) {
         ctx.Violate(line, "shard-confinement",
-                    "synchronization primitives are banned in src/sim/ "
-                    "outside the mailbox/barrier files; shard state is "
-                    "single-owner during a window and cross-shard traffic "
-                    "goes through sim/mailbox.h at barriers (DESIGN.md "
-                    "section 14)");
-      }
-      if (!kind.allow_keyed_push && call &&
-          (t.text == "PushAtSeq" || t.text == "ScheduleKeyedAt")) {
-        ctx.Violate(line, "seq-reservation",
-                    "keyed event pushes (PushAtSeq/ScheduleKeyedAt) bypass "
-                    "the auto seq counter and are confined to src/sim/ and "
-                    "the sharded engine; reserve key space with "
-                    "EventQueue::ReserveKeySpace and keep keyed scheduling "
-                    "inside the reservation protocol (sim/event_queue.h)");
+                    "synchronization primitives are banned in src/sim/; a "
+                    "simulation's state is owned by the one thread that "
+                    "runs it, and concurrency lives in src/runner/ as whole "
+                    "runs on runner::ThreadPool (DESIGN.md section 14)");
       }
       if (!kind.allow_fault_injection &&
           AnyOf(t.text, {"mtbf", "mttr", "mtbf_s", "mttr_s", "drop_prob",
@@ -581,7 +570,7 @@ class GlobalsPass {
         }
         if (AnyOf(t->text,
                   {"const", "constexpr", "constinit", "thread_local"})) {
-          return;  // immutable, or per-thread (not a cross-shard race)
+          return;  // immutable, or per-thread (not a cross-run race)
         }
         if (t->text == "extern" && !has_eq) {
           return;  // declaration of something defined elsewhere
@@ -679,7 +668,7 @@ class GlobalsPass {
     std::string msg = "mutable ";
     msg += function_local ? "function-local static '" : "global '";
     msg += name;
-    msg += "' is a cross-shard race once one run spans threads; ";
+    msg += "' is shared by the concurrent runs of a --jobs sweep; ";
     if (!race_safe) {
       msg += "make it std::atomic (or mutex-guarded)";
       msg += entry == nullptr ? " AND " : "";
@@ -832,7 +821,7 @@ const std::vector<GlobalWhitelistEntry>& DefaultGlobalWhitelist() {
   static const std::vector<GlobalWhitelistEntry> kWhitelist = {
       {"common/log.cpp", "g_level",
        "process-wide log threshold; std::atomic with relaxed loads — "
-       "shards may race on verbosity, never on results"},
+       "concurrent runs may race on verbosity, never on results"},
   };
   return kWhitelist;
 }
@@ -947,11 +936,6 @@ Analysis AnalyzeTree(const std::vector<std::filesystem::path>& roots) {
         // is CLOCK_MONOTONIC; binlog records carry real timestamps).
         kind.allow_wall_clock =
             rel.rfind("runner/", 0) == 0 || kind.allow_transport_syscalls;
-        kind.allow_shard_sync = rel == "sim/mailbox.h" ||
-                                rel == "sim/shard.h" || rel == "sim/shard.cpp";
-        kind.allow_keyed_push = rel.rfind("sim/", 0) == 0 ||
-                                rel.rfind("driver/shard_exec", 0) == 0 ||
-                                rel.rfind("driver/shard_plan", 0) == 0;
         kind.forbid_net_rng =
             rel.rfind("net/", 0) == 0 && rel != "net/topology_gen.cpp";
       }

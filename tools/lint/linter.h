@@ -25,24 +25,17 @@
 //   - no std::unordered_map / std::map in src/core/ — hot-path tables use
 //     radar::SlabMap or sorted inline vectors (DESIGN.md §12)
 //   - shard-confinement: std::mutex / std::atomic and the rest of the
-//     <mutex>/<atomic> synchronization vocabulary are banned in src/sim/
-//     outside the mailbox/barrier files (sim/mailbox.h, sim/shard.h,
-//     sim/shard.cpp) — shard state is single-owner by construction and
-//     cross-shard traffic goes through mailboxes at window barriers
-//     (DESIGN.md §14), so a lock anywhere else is a design smell
-//   - seq-reservation: EventQueue::PushAtSeq / Simulator::ScheduleKeyedAt
-//     only in src/sim/ and the sharded engine (driver/shard_exec*,
-//     driver/shard_plan*) — keyed pushes bypass the auto seq counter, and
-//     callers outside the reservation protocol would silently break the
-//     keyed-before-auto tiebreak (sim/event_queue.h)
+//     <mutex>/<atomic> synchronization vocabulary are banned in all of
+//     src/sim/ — a simulation's state is owned by the one thread that
+//     runs it (DESIGN.md §14), so a lock there is a design smell
 //   - transport-confinement: socket/poll/fcntl-family syscalls (and, via
 //     the wall-clock allowance, real-clock reads) only in src/transport/
 //     and src/binlog/ — every other layer talks through the Transport
 //     seam (transport/transport.h), which is what lets the simulator and
 //     the daemons share the protocol brains verbatim (DESIGN.md §16)
 //
-// Shard-readiness passes (the ROADMAP's deterministic-parallel-execution
-// item depends on all four holding tree-wide):
+// Shared-state passes (`--jobs` sweeps run whole simulations concurrently
+// in one process, so every run must stay a pure function of its config):
 //   - nondeterminism audit: iteration over unordered containers,
 //     pointer-keyed ordered containers, std::hash of pointer types, and
 //     wall-clock reads outside the runner/bench timing code — each one a
@@ -50,12 +43,12 @@
 //   - mutable-global audit: every namespace-scope or function-local
 //     static mutable object must be race-safe (atomic / mutex) AND appear
 //     in the shared-state whitelist, because an unlisted global is a
-//     cross-shard race once one run spans threads
+//     race between the concurrent runs of a sweep
 //   - hot-path allocation audit: inside // RADAR_HOT regions, `new`,
 //     make_shared/make_unique, and std::function construction are banned
-//   - shard-readiness report: AnalysisJson (lint/analysis_json.h) emits
+//   - shared-state report: AnalysisJson (lint/analysis_json.h) emits
 //     the radar.analysis/1 inventory of globals, whitelist hits, and hot
-//     regions — the checklist for the shard-split PR
+//     regions
 //
 // The logic is a library so tests can feed it sources directly; the
 // radar_lint binary is a thin filesystem walker around it.
@@ -81,7 +74,8 @@ struct FileKind {
   bool allow_protocol_literals = false;
   /// src/runner/ (and only it) may create or detach threads.
   bool allow_threads = false;
-  /// src/sim/ must not use std::function (hot path stays allocation-free).
+  /// src/sim/ must not use std::function (hot path stays allocation-free)
+  /// nor synchronization primitives (shard-confinement).
   bool forbid_std_function = false;
   /// src/fault/ (and only it) may name fault-model parameters — MTBF,
   /// MTTR, message drop/delay probabilities. Appended last so positional
@@ -98,15 +92,6 @@ struct FileKind {
   /// tools/ CLI entry points may write to std::cout/std::cerr; library
   /// code may not. Appended last (see above).
   bool allow_cli_output = false;
-  /// sim/mailbox.h, sim/shard.h, sim/shard.cpp (and only they) may name
-  /// <mutex>/<atomic> synchronization types inside src/sim/ — everywhere
-  /// else in the simulation tree, shard state is single-owner and a lock
-  /// is a design smell (DESIGN.md §14). Appended last (see above).
-  bool allow_shard_sync = false;
-  /// src/sim/ and the sharded engine (driver/shard_exec*, shard_plan*)
-  /// may call EventQueue::PushAtSeq / Simulator::ScheduleKeyedAt; other
-  /// callers would bypass the seq reservation protocol. Appended last.
-  bool allow_keyed_push = false;
   /// src/net/ must not use radar::Rng — net/topology_gen.cpp owns the
   /// only generator randomness, so routing, oracles, and fault epoching
   /// stay pure functions of the graph. Appended last (see above).
@@ -153,7 +138,7 @@ struct HotRegion {
 };
 
 /// Everything the analyzer learned about one source or tree: violations
-/// plus the shared-state inventory the shard-readiness report serializes.
+/// plus the shared-state inventory the radar.analysis/1 report serializes.
 struct Analysis {
   std::vector<Violation> violations;
   std::vector<MutableGlobal> mutable_globals;

@@ -1,5 +1,5 @@
 // radar_lint — walks source trees and enforces repo conventions, the
-// paper's protocol-invariant hygiene, and the shard-readiness passes (see
+// paper's protocol-invariant hygiene, and the shared-state passes (see
 // tools/lint/linter.h for the rule list). With --report it also writes
 // the radar.analysis/1 shared-state inventory (tools/lint/analysis_json.h).
 // Exit code 0 means clean, 1 means violations were printed, 2 means usage

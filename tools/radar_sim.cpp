@@ -21,7 +21,6 @@
 #include "net/topology_gen.h"
 #include "net/topology_io.h"
 #include "runner/experiment_plan.h"
-#include "runner/shard_executor.h"
 #include "runner/sweep_runner.h"
 
 int main(int argc, char** argv) {
@@ -104,13 +103,6 @@ int main(int argc, char** argv) {
                 ? driver::HostingSimulation(config, *topology)
                 : driver::HostingSimulation(config);
         if (trace != nullptr) sim.SetTrace(*trace);
-        if (config.shards >= 1) {
-          // Sharded engine: windows run on a pool sized to the shard
-          // count. The executor only needs to outlive Run().
-          runner::PoolShardExecutor executor(config.shards);
-          sim.set_window_executor(&executor);
-          return sim.Run();
-        }
         return sim.Run();
       });
 
