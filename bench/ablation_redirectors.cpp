@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "net/routing.h"
 
 namespace {
 
@@ -26,7 +25,7 @@ double MeanDetourHops(const radar::driver::HostingSimulation& sim,
   for (int r = 0; r < redirectors; ++r) {
     const NodeId home = sim.redirector_home(r);
     for (NodeId g = 0; g < sim.topology().num_nodes(); ++g) {
-      total += sim.routing().HopDistance(g, home);
+      total += sim.net_model().HopDistance(g, home);
       ++count;
     }
   }

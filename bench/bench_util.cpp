@@ -17,8 +17,7 @@ namespace {
   std::fprintf(
       stderr,
       "usage: %s [--jobs N] [--json PATH] [--fault-plan FILE]"
-      " [--replica-floor K] [--topology SPEC|FILE]"
-      " [--oracle KIND]\n"
+      " [--replica-floor K] [--topology SPEC|FILE]\n"
       "  --jobs N           worker threads (0 = hardware concurrency;\n"
       "                     default $RADAR_BENCH_JOBS, else 1)\n"
       "  --json PATH        write the sweep as a SweepJson document\n"
@@ -26,9 +25,7 @@ namespace {
       "  --replica-floor K  re-replicate objects below K live copies\n"
       "  --topology S       backbone: a ts:/sf: generator spec or a\n"
       "                     topology file (default $RADAR_BENCH_TOPOLOGY,\n"
-      "                     else the built-in UUNET backbone)\n"
-      "  --oracle KIND      auto|dense|sparse latency backend (default\n"
-      "                     $RADAR_BENCH_ORACLE, else auto)\n",
+      "                     else the built-in UUNET backbone)\n",
       argv0);
   std::exit(code);
 }
@@ -59,14 +56,6 @@ driver::SimConfig PaperConfig() {
   config.num_objects =
       static_cast<ObjectId>(EnvOr("RADAR_BENCH_OBJECTS", 10000.0));
   config.seed = static_cast<std::uint64_t>(EnvOr("RADAR_BENCH_SEED", 1.0));
-  const std::string oracle = EnvStrOr("RADAR_BENCH_ORACLE", "auto");
-  if (oracle == "dense") {
-    config.oracle = net::OracleKind::kDense;
-  } else if (oracle == "sparse") {
-    config.oracle = net::OracleKind::kSparse;
-  } else {
-    config.oracle = net::OracleKind::kAuto;
-  }
   return config;
 }
 
@@ -137,20 +126,18 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
                      argv[0]);
         UsageAndExit(argv[0], 2);
       }
-    } else if (arg == "--oracle" || arg.rfind("--oracle=", 0) == 0) {
-      const std::string value = value_of(&i, arg, "--oracle");
-      if (value != "auto" && value != "dense" && value != "sparse") {
-        std::fprintf(stderr, "%s: --oracle must be auto, dense, or sparse\n",
-                     argv[0]);
-        UsageAndExit(argv[0], 2);
-      }
-      // Exported so PaperConfig() — always called after parsing — sees
-      // the flag without every bench threading it through by hand.
-      setenv("RADAR_BENCH_ORACLE", value.c_str(), 1);
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
                    arg.c_str());
       UsageAndExit(argv[0], 2);
+    }
+  }
+  if (net::IsTopologySpec(options.topology)) {
+    std::string error;
+    if (!net::ParseTopologySpec(options.topology, &error)) {
+      std::fprintf(stderr, "error: %s: %s\n", options.topology.c_str(),
+                   error.c_str());
+      std::exit(2);
     }
   }
   return options;
@@ -159,7 +146,7 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
 net::Topology MakeBenchTopology(const BenchOptions& options) {
   if (options.topology.empty()) return net::MakeUunetBackbone();
   if (net::IsTopologySpec(options.topology)) {
-    return net::GenerateTopology(options.topology);
+    return net::GenerateTopology(options.topology);  // checked at parse
   }
   std::ifstream in(options.topology);
   if (!in) {

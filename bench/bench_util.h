@@ -21,8 +21,6 @@
 //   RADAR_BENCH_TOPOLOGY   backbone override: a "ts:"/"sf:" generator
 //                          spec (net/topology_gen.h) or a topology file
 //                          (default: the built-in UUNET backbone)
-//   RADAR_BENCH_ORACLE     latency backend: auto|dense|sparse
-//                          (default auto)
 //
 // Results are bit-identical for any --jobs value: per-run seeds come from
 // the plan, and each simulation is self-contained.
@@ -62,13 +60,11 @@ struct BenchOptions {
   std::string topology;
 };
 
-/// Parses --jobs/--json/--fault-plan/--replica-floor/--topology/--oracle
-/// (either "--flag value" or "--flag=value") plus --help. jobs defaults
-/// to $RADAR_BENCH_JOBS, topology to $RADAR_BENCH_TOPOLOGY, oracle to
-/// $RADAR_BENCH_ORACLE. --oracle also exports its environment variable
-/// so PaperConfig() (called after parsing in every bench) picks the value
-/// up without per-binary plumbing. Prints usage and exits(2) on a
-/// malformed command line, exits(0) on --help.
+/// Parses --jobs/--json/--fault-plan/--replica-floor/--topology (either
+/// "--flag value" or "--flag=value") plus --help. jobs defaults to
+/// $RADAR_BENCH_JOBS, topology to $RADAR_BENCH_TOPOLOGY. Prints usage and
+/// exits(2) on a malformed command line, exits(0) on --help; a malformed
+/// generator spec prints "error: <spec>: <message>" and exits(2).
 BenchOptions ParseBenchArgs(int argc, char** argv);
 
 /// The backbone selected by options.topology: the UUNET default when

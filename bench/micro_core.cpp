@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
-// request distribution, routing-table construction, workload sampling,
-// path-latency lookup, the event queue, host-side access counting, and a
-// DispatchRequest-loop macro case over the full driver.
+// request distribution, workload sampling, the event queue, host-side
+// access counting, and a DispatchRequest-loop macro case over the full
+// driver.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -14,11 +14,7 @@
 #include "core/redirector.h"
 #include "driver/config.h"
 #include "driver/hosting_simulation.h"
-#include "net/path_latency.h"
-#include "net/routing.h"
-#include "net/uunet.h"
 #include "sim/event_queue.h"
-#include "sim/transfer.h"
 #include "workload/workload.h"
 
 namespace {
@@ -52,15 +48,6 @@ void BM_ChooseReplica(benchmark::State& state) {
 }
 BENCHMARK(BM_ChooseReplica)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(53);
 
-void BM_RoutingTableBuild(benchmark::State& state) {
-  const net::Topology topology = net::MakeUunetBackbone();
-  for (auto _ : state) {
-    net::RoutingTable routing(topology.graph());
-    benchmark::DoNotOptimize(routing.HopDistance(0, 52));
-  }
-}
-BENCHMARK(BM_RoutingTableBuild);
-
 void BM_ReedsZipfSample(benchmark::State& state) {
   ReedsZipf zipf(10000);
   Rng rng(2);
@@ -80,55 +67,6 @@ void BM_ExactZipfSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ExactZipfSample);
-
-// The per-request latency computation as it existed before the
-// precomputed matrices: walk the canonical path and scan each hop's
-// adjacency list for the connecting link. Kept as the baseline half of a
-// before/after pair with BM_PathLatencyMatrix.
-SimTime WalkTransferLatency(const net::RoutingTable& routing,
-                            const net::Graph& graph, NodeId a, NodeId b,
-                            std::int64_t object_bytes) {
-  const std::vector<NodeId>& path = routing.Path(a, b);
-  SimTime total = 0;
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    for (const net::Edge& e : graph.Neighbors(path[i - 1])) {
-      if (e.to != path[i]) continue;
-      total += e.delay + sim::SerializationTime(object_bytes, e.bandwidth_bps);
-      break;
-    }
-  }
-  return total;
-}
-
-void BM_PathLatencyWalk(benchmark::State& state) {
-  const net::Topology topology = net::MakeUunetBackbone();
-  const net::RoutingTable routing(topology.graph());
-  Rng rng(5);
-  const auto n = topology.graph().num_nodes();
-  for (auto _ : state) {
-    const auto a = static_cast<NodeId>(rng.NextBounded(n));
-    const auto b = static_cast<NodeId>(rng.NextBounded(n));
-    benchmark::DoNotOptimize(
-        WalkTransferLatency(routing, topology.graph(), a, b, 100'000));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PathLatencyWalk);
-
-void BM_PathLatencyMatrix(benchmark::State& state) {
-  const net::Topology topology = net::MakeUunetBackbone();
-  const net::RoutingTable routing(topology.graph());
-  const net::PathLatencyMatrix matrix(routing, topology.graph(), 100'000);
-  Rng rng(5);
-  const auto n = topology.graph().num_nodes();
-  for (auto _ : state) {
-    const auto a = static_cast<NodeId>(rng.NextBounded(n));
-    const auto b = static_cast<NodeId>(rng.NextBounded(n));
-    benchmark::DoNotOptimize(matrix.Transfer(a, b));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PathLatencyMatrix);
 
 void BM_EventQueuePushPop(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));

@@ -1,10 +1,11 @@
 // Scale sweep: node-count x object-count operating points, from the
 // paper's 53-router UUNET up to 10k-node generated transit-stub
 // backbones. Each entry reports engine throughput, process memory, and
-// the cost of a fault epoch on the active latency backend — the numbers
-// behind the "break the O(n^2) wall" claim: the dense backend rebuilds
-// two n^2 matrices per epoch, the sparse gateway-pivot oracle touches
-// O(rows x n) and only for rows a changed link actually dirties.
+// the cost of a fault epoch on the network model — the numbers behind
+// the "break the O(n^2) wall" claim: the model keeps O(rows x n) state
+// (every node rowed below net::kAllRowsNodeLimit nodes, gateways and
+// redirector homes above) and a link event recomputes only the rows it
+// actually dirties.
 //
 // Memory is read from getrusage(RUSAGE_SELF).ru_maxrss, which is a
 // process-lifetime high-water mark — entries therefore run smallest
@@ -48,7 +49,7 @@ struct Entry {
 
 // Ordered by memory footprint (see the ru_maxrss note above). The object
 // axis probes per-object state (records, redirector entries, counts);
-// the node axis probes the latency backend and per-node engine state.
+// the node axis probes the network model and per-node engine state.
 constexpr Entry kEntries[] = {
     {"uunet-10k", "", 10'000, 120.0},
     {"ts1k-10k", "ts:n=1000,seed=7", 10'000, 120.0},
@@ -59,10 +60,6 @@ constexpr Entry kEntries[] = {
 
 /// Rebuild-cost probes per fault epoch, averaged over a few link flaps.
 constexpr int kRebuildReps = 5;
-
-/// The dense backend's per-epoch wholesale rebuild is only affordable —
-/// and only measured — up to this many nodes.
-constexpr std::int32_t kDenseRebuildCap = 1000;
 
 double ProcessCpuSeconds() {
   std::timespec ts{};
@@ -94,54 +91,33 @@ net::Topology MakeTopology(const Entry& entry) {
 }
 
 struct RebuildCost {
-  bool dense_measured = false;
-  double dense_ms_per_epoch = 0.0;
-  double sparse_ms_per_epoch = 0.0;
-  std::int64_t sparse_rows = 0;
-  std::int64_t sparse_rows_rebuilt = 0;
+  double ms_per_epoch = 0.0;
+  std::int64_t rows = 0;
+  std::int64_t rows_rebuilt = 0;
 };
 
-/// One fault epoch = one link going down and later coming back. Dense
-/// pays two wholesale rebuilds; sparse applies both events incrementally
-/// and reports how many of its rows each pair of events dirtied.
+/// One fault epoch = one link going down and later coming back; the
+/// model applies both events incrementally and reports how many of its
+/// rows each pair of events dirtied.
 RebuildCost MeasureRebuild(const net::Topology& topology,
                            std::int64_t object_bytes) {
-  RebuildCost cost;
   const auto num_links =
       static_cast<std::int32_t>(topology.graph().num_links());
-
-  {
-    net::NetModel sparse(topology, object_bytes, net::OracleKind::kSparse);
-    cost.sparse_rows =
-        static_cast<std::int64_t>(sparse.sparse_oracle().num_rows());
-    const std::int64_t rows_before = sparse.sparse_oracle().rows_rebuilt();
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kRebuildReps; ++i) {
-      const std::int32_t link = (i * 7919) % num_links;
-      sparse.OnLinkChange(link, false);
-      sparse.OnLinkChange(link, true);
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    cost.sparse_ms_per_epoch =
-        std::chrono::duration<double, std::milli>(stop - start).count() /
-        kRebuildReps;
-    cost.sparse_rows_rebuilt =
-        (sparse.sparse_oracle().rows_rebuilt() - rows_before) / kRebuildReps;
+  net::NetModel net(topology, object_bytes);
+  RebuildCost cost;
+  cost.rows = static_cast<std::int64_t>(net.num_rows());
+  const std::int64_t rows_before = net.rows_rebuilt();
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRebuildReps; ++i) {
+    const std::int32_t link = (i * 7919) % num_links;
+    net.OnLinkChange(link, false);
+    net.OnLinkChange(link, true);
   }
-
-  if (topology.num_nodes() <= kDenseRebuildCap) {
-    net::NetModel dense(topology, object_bytes, net::OracleKind::kDense);
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kRebuildReps; ++i) {
-      dense.RebuildDense(topology.graph());  // down + up = two rebuilds
-      dense.RebuildDense(topology.graph());
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    cost.dense_measured = true;
-    cost.dense_ms_per_epoch =
-        std::chrono::duration<double, std::milli>(stop - start).count() /
-        kRebuildReps;
-  }
+  const auto stop = std::chrono::steady_clock::now();
+  cost.ms_per_epoch =
+      std::chrono::duration<double, std::milli>(stop - start).count() /
+      kRebuildReps;
+  cost.rows_rebuilt = (net.rows_rebuilt() - rows_before) / kRebuildReps;
   return cost;
 }
 
@@ -208,9 +184,6 @@ int main(int argc, char** argv) {
     matched = true;
 
     const net::Topology topology = MakeTopology(entry);
-    const net::OracleKind resolved = net::ResolveOracleKind(
-        net::OracleKind::kAuto, topology.num_nodes());
-    const bool is_sparse = resolved == net::OracleKind::kSparse;
 
     driver::SimConfig config;
     config.duration = SecondsToSim(entry.sim_seconds);
@@ -237,20 +210,15 @@ int main(int argc, char** argv) {
         MeasureRebuild(topology, config.object_bytes);
 
     std::printf(
-        "%-10s nodes=%6d gw=%4zu objects=%8lld %s  requests=%9lld  "
-        "wall=%7.3fs  %10.0f ev/s  rss=%7.1fMB  epoch: sparse=%8.3fms"
-        " (%lld/%lld rows)%s\n",
+        "%-10s nodes=%6d gw=%4zu objects=%8lld  requests=%9lld  "
+        "wall=%7.3fs  %10.0f ev/s  rss=%7.1fMB  epoch=%8.3fms"
+        " (%lld/%lld rows)\n",
         entry.name, topology.num_nodes(), topology.GatewayNodes().size(),
         static_cast<long long>(entry.objects),
-        is_sparse ? "sparse" : "dense ",
         static_cast<long long>(report.total_requests), wall_seconds,
-        events_per_sec, peak_rss_mb, rebuild.sparse_ms_per_epoch,
-        static_cast<long long>(rebuild.sparse_rows_rebuilt),
-        static_cast<long long>(rebuild.sparse_rows),
-        rebuild.dense_measured
-            ? (" dense=" + std::to_string(rebuild.dense_ms_per_epoch) + "ms")
-                  .c_str()
-            : "");
+        events_per_sec, peak_rss_mb, rebuild.ms_per_epoch,
+        static_cast<long long>(rebuild.rows_rebuilt),
+        static_cast<long long>(rebuild.rows));
 
     driver::JsonValue e = driver::JsonValue::MakeObject();
     e.Set("name", entry.name);
@@ -260,7 +228,6 @@ int main(int argc, char** argv) {
           static_cast<std::int64_t>(topology.GatewayNodes().size()));
     e.Set("objects", static_cast<std::int64_t>(entry.objects));
     e.Set("sim_seconds", entry.sim_seconds);
-    e.Set("oracle", is_sparse ? "sparse" : "dense");
     e.Set("total_requests", report.total_requests);
     e.Set("events_executed",
           static_cast<std::int64_t>(sim.events_executed()));
@@ -269,12 +236,11 @@ int main(int argc, char** argv) {
     e.Set("events_per_sec", events_per_sec);
     e.Set("current_rss_mb", current_rss_mb);
     e.Set("peak_rss_mb", peak_rss_mb);
-    e.Set("sparse_rebuild_ms_per_epoch", rebuild.sparse_ms_per_epoch);
-    e.Set("sparse_rows", rebuild.sparse_rows);
-    e.Set("sparse_rows_rebuilt_per_epoch", rebuild.sparse_rows_rebuilt);
-    e.Set("dense_rebuild_ms_per_epoch",
-          rebuild.dense_measured ? driver::JsonValue(rebuild.dense_ms_per_epoch)
-                                 : driver::JsonValue());
+    // Key names predate the single network model; kept so the archived
+    // artifact series stays comparable.
+    e.Set("sparse_rebuild_ms_per_epoch", rebuild.ms_per_epoch);
+    e.Set("sparse_rows", rebuild.rows);
+    e.Set("sparse_rows_rebuilt_per_epoch", rebuild.rows_rebuilt);
     entries.Append(std::move(e));
   }
   if (!matched) {

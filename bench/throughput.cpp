@@ -16,8 +16,7 @@
 //   --json PATH   write the radar.perfbench/1 document to PATH
 //   --reps N      repetitions per scale; the best (highest req/s) rep is
 //                 reported (default $RADAR_PERF_REPS, else 1)
-//   --scale NAME  run only the named scale (small / small-sparse /
-//                 medium / large)
+//   --scale NAME  run only the named scale (small / medium / large)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -41,20 +40,14 @@ struct Scale {
   const char* name;
   double sim_seconds;
   ObjectId objects;
-  net::OracleKind oracle;
 };
 
-// Four operating points: the small scale is CI's smoke, the large scale
-// approaches the paper's Table 1 configuration (10k objects), and
-// small-sparse reruns the small scale with the sparse gateway-pivot
-// latency backend forced on — on the all-gateway UUNET backbone the
-// report is byte-identical to small's, so the pair isolates the latency
-// backend's hot-path cost (perf_gate compares them with --alias).
+// Three operating points: the small scale is CI's smoke, the large scale
+// approaches the paper's Table 1 configuration (10k objects).
 constexpr Scale kScales[] = {
-    {"small", 60.0, 1'000, net::OracleKind::kDense},
-    {"small-sparse", 60.0, 1'000, net::OracleKind::kSparse},
-    {"medium", 120.0, 5'000, net::OracleKind::kDense},
-    {"large", 240.0, 10'000, net::OracleKind::kDense},
+    {"small", 60.0, 1'000},
+    {"medium", 120.0, 5'000},
+    {"large", 240.0, 10'000},
 };
 
 struct Measurement {
@@ -88,10 +81,9 @@ Measurement RunScale(const Scale& scale, std::uint64_t seed) {
   config.num_objects = scale.objects;
   config.seed = seed;
   config.workload = driver::WorkloadKind::kZipf;
-  config.oracle = scale.oracle;
 
-  // Construction (routing tables, latency matrices) is charged to the
-  // measurement: precomputation must pay for itself end to end.
+  // Construction (routes, latency rows) is charged to the measurement:
+  // precomputation must pay for itself end to end.
   const double cpu_start = ProcessCpuSeconds();
   const auto start = std::chrono::steady_clock::now();
   driver::HostingSimulation sim(config);
@@ -124,8 +116,8 @@ Measurement RunScale(const Scale& scale, std::uint64_t seed) {
                "  --json PATH   write the radar.perfbench/1 document\n"
                "  --reps N      repetitions per scale, best rep reported\n"
                "                (default $RADAR_PERF_REPS, else 1)\n"
-               "  --scale NAME  run only this scale (small / small-sparse /"
-               " medium / large)\n",
+               "  --scale NAME  run only this scale (small / medium /"
+               " large)\n",
                argv0);
   std::exit(code);
 }
@@ -159,7 +151,7 @@ int main(int argc, char** argv) {
         UsageAndExit(argv[0], 2);
       }
     } else if (arg == "--scale" || arg.rfind("--scale=", 0) == 0) {
-      only_scale = value_of("--scale");  // small/small-sparse/medium/large
+      only_scale = value_of("--scale");  // small/medium/large
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
                    arg.c_str());

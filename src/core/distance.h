@@ -1,8 +1,8 @@
 // Network-proximity oracle used by the redirector and placement logic.
 //
 // The paper extracts proximity from router databases; in this library the
-// driver adapts net::RoutingTable to this interface, and tests can supply
-// synthetic matrices.
+// driver adapts net::NetModel to this interface (driver::RoutingDistance),
+// and tests can supply synthetic matrices.
 #pragma once
 
 #include <cstdint>

@@ -101,8 +101,6 @@ usage: radar_sim [flags]
                               ts:n=10000,seed=7 (transit-stub) or
                               sf:n=1000,m=2,gw=64,seed=1 (scale-free);
                               see net/topology_gen.h
-  --oracle=auto|dense|sparse  latency/routing backend (default auto:
-                              dense below 1024 nodes, sparse above)
   --trace=FILE                replay a request trace (see trace.h)
   --series                    print the per-bucket series table
   --json=FILE                 write the report as schema-versioned JSON
@@ -210,16 +208,6 @@ std::optional<CliOptions> ParseCli(const std::vector<std::string>& args,
       }
     } else if (key == "topology") {
       options.topology_file = value;
-    } else if (key == "oracle") {
-      if (value == "auto") {
-        options.config.oracle = net::OracleKind::kAuto;
-      } else if (value == "dense") {
-        options.config.oracle = net::OracleKind::kDense;
-      } else if (value == "sparse") {
-        options.config.oracle = net::OracleKind::kSparse;
-      } else {
-        return fail("--oracle must be auto, dense, or sparse");
-      }
     } else if (key == "trace") {
       options.trace_file = value;
     } else if (key == "json") {

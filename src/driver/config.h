@@ -9,7 +9,7 @@
 #include "common/types.h"
 #include "core/params.h"
 #include "fault/fault_plan.h"
-#include "net/latency_oracle.h"
+#include "net/net_model.h"
 
 namespace radar::driver {
 
@@ -60,9 +60,9 @@ struct SimConfig {
   /// are not synchronized). Disable to reproduce lock-step decisions.
   bool stagger_placement = true;
 
-  /// Routing/latency backend (net/latency_oracle.h): kAuto picks dense
-  /// below kSparseAutoThreshold nodes and the sparse gateway-pivot
-  /// oracle at or above it; kDense / kSparse force a backend.
+  /// Has one value and selects nothing: kept only because the
+  /// benchmark's trace replay (perfbench/trace_replay.cpp) passes it to
+  /// net::NetModel. Nothing else sets it.
   net::OracleKind oracle = net::OracleKind::kAuto;
 
   /// Initial home of each object; defaults (when null) to the paper's

@@ -13,8 +13,8 @@ constexpr int kMaxRedirects = 3;
 std::vector<NodeId> PickRedirectorHomes(const net::NetModel& net, int count) {
   // The paper co-locates the redirector "with a node whose average distance
   // in hops to other nodes is minimum"; additional redirectors take the
-  // next-most-central nodes. On the sparse backend centrality is measured
-  // from the gateway rows (identical ranking on all-gateway graphs).
+  // next-most-central nodes. At or above net::kAllRowsNodeLimit nodes
+  // centrality is measured from the gateway rows.
   const std::vector<NodeId> by_centrality = net.NodesByCentrality();
   RADAR_CHECK_GE(count, 1);
   RADAR_CHECK_LE(static_cast<std::size_t>(count), by_centrality.size());
@@ -35,8 +35,8 @@ HostingSimulation::HostingSimulation(SimConfig config, net::Topology topology)
       closest_(distance_) {
   config_.Check();
   redirector_homes_ = PickRedirectorHomes(net_, config_.num_redirectors);
-  // Redirector homes join the sparse oracle's rowed sources: the dispatch
-  // path reads their control rows (a no-op on the dense backend).
+  // Redirector homes join the model's rowed sources: the dispatch path
+  // reads their control rows (a no-op when every node is rowed).
   net_.AddRowSources(redirector_homes_);
   cluster_ = std::make_unique<core::Cluster>(
       topology_.num_nodes(), distance_, config_.protocol, redirector_homes_);
@@ -64,13 +64,11 @@ HostingSimulation::HostingSimulation(SimConfig config, net::Topology topology)
     hooks.on_host_recover = [this](NodeId h, SimTime t) {
       OnHostRecover(h, t);
     };
-    hooks.on_topology_change = [this](SimTime t) { RebuildRouting(t); };
+    // A link fault epoch patches the network model per link event. The
+    // distance oracle reads through net_, so placement and distribution
+    // see the new paths immediately.
     hooks.on_link_change = [this](std::size_t link_index, bool up) {
-      // The sparse oracle invalidates incrementally per link event; the
-      // dense backend waits for the batch's RebuildRouting instead.
-      if (net_.sparse()) {
-        net_.OnLinkChange(static_cast<std::int32_t>(link_index), up);
-      }
+      net_.OnLinkChange(static_cast<std::int32_t>(link_index), up);
     };
     injector_ = std::make_unique<fault::FaultInjector>(
         config_.faults, topology_.graph(), &sim_, config_.seed,
@@ -149,7 +147,7 @@ void HostingSimulation::PlaceInitialObjects() {
 
 SimTime HostingSimulation::ControlPathLatency(NodeId a, NodeId b) const {
   // Per-link propagation delay; control payloads are negligible. The sum
-  // over the canonical path is precomputed (net/latency_oracle.h).
+  // over the canonical path is precomputed (net/net_model.h).
   return net_.Control(a, b);
 }
 
@@ -336,10 +334,10 @@ void HostingSimulation::DispatchRequest(ObjectId x, NodeId gateway,
                                         SimTime now) {
   // Resolve the object's redirector shard once: the replica choice and
   // the control-leg home node read the same reference. Under the RaDaR
-  // policy the gateway's dense hop row is handed to ChooseReplica so the
+  // policy the gateway's hop row is handed to ChooseReplica so the
   // Fig. 2 scan indexes a plain array instead of making a virtual
   // distance call per candidate (same values — the oracle reads the same
-  // row). Fetched per dispatch, so a routing rebuild under link faults is
+  // row). Fetched per dispatch, so a row patched by a link fault is
   // picked up immediately.
   core::Redirector& shard = cluster_->redirectors().For(x);
   const NodeId host =
@@ -352,7 +350,7 @@ void HostingSimulation::DispatchRequest(ObjectId x, NodeId gateway,
   }
   // Control legs: gateway -> redirector -> host (propagation only). Row
   // pointers skip the per-lookup index checks: gateways and redirector
-  // homes are rowed sources on both backends, so the rows exist.
+  // homes are always rowed sources, so the rows exist.
   const NodeId redirector = shard.home_node();
   const SimTime control_in = net_.ControlRow(gateway)[redirector];
   SimTime control = control_in + net_.ControlRow(redirector)[host];
@@ -528,17 +526,6 @@ void HostingSimulation::OnHostRecover(NodeId h, SimTime t) {
   for (const ObjectId x : agent.Objects()) {
     cluster_->redirectors().For(x).RestoreReplica(x, h, agent.Affinity(x));
   }
-}
-
-void HostingSimulation::RebuildRouting(SimTime t) {
-  (void)t;
-  // A link fault epoch. The sparse backend already patched itself per
-  // link event (on_link_change); the dense backend recomputes shortest
-  // paths and the latency matrix over the surviving backbone wholesale.
-  // The distance oracle reads through net_, so placement and
-  // distribution see the new paths immediately either way.
-  if (net_.sparse()) return;
-  net_.RebuildDense(injector_->LiveGraph());
 }
 
 RunReport HostingSimulation::Run() { return Finalize(); }

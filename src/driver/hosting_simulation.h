@@ -42,8 +42,9 @@ namespace radar::driver {
 /// Adapts the network model to the protocol's proximity oracle. Exposes
 /// hop-distance rows so hot loops (ChooseReplica) read distances with
 /// plain indexing instead of a virtual call per candidate. DistanceRow
-/// may return nullptr on the sparse backend for sources without a row
-/// (the DistanceOracle contract; callers fall back to Distance).
+/// returns nullptr for a source the model keeps no row for (only
+/// possible at or above net::kAllRowsNodeLimit nodes; the DistanceOracle
+/// contract has callers fall back to Distance).
 class RoutingDistance final : public core::DistanceOracle {
  public:
   explicit RoutingDistance(const net::NetModel& net) : net_(net) {}
@@ -92,14 +93,9 @@ class HostingSimulation {
 
   // Post-run (or pre-run) inspection.
   const net::Topology& topology() const { return topology_; }
-  /// The routing/latency backend in force right now (dense: rebuilt at
-  /// every applied link fault epoch; sparse: patched incrementally).
+  /// The routes and latencies in force right now (patched incrementally
+  /// at every applied link fault).
   const net::NetModel& net_model() const { return net_; }
-  /// Dense-backend shorthand (aborts on the sparse backend).
-  const net::RoutingTable& routing() const { return net_.routing(); }
-  const net::PathLatencyMatrix& latency() const {
-    return net_.dense_latency();
-  }
   /// The fault layer, or nullptr when the run's FaultPlan is empty.
   const fault::FaultInjector* fault_injector() const {
     return injector_.get();
@@ -133,7 +129,6 @@ class HostingSimulation {
   void SetupFaultLayer();
   void OnHostCrash(NodeId h, SimTime t);
   void OnHostRecover(NodeId h, SimTime t);
-  void RebuildRouting(SimTime t);
   bool HostUpNow(NodeId n) const {
     return injector_ == nullptr || injector_->HostUp(n);
   }
@@ -169,16 +164,15 @@ class HostingSimulation {
   void CompleteService(ObjectId x, NodeId gateway, NodeId host, SimTime t0);
 
   /// Propagation-only latency along the canonical path a -> b (O(1):
-  /// precomputed matrix lookup).
+  /// precomputed row lookup).
   SimTime ControlPathLatency(NodeId a, NodeId b) const;
   /// Store-and-forward latency of one object along the path a -> b (O(1):
-  /// the object size is fixed per run, so the matrix is exact).
+  /// the object size is fixed per run, so the precomputed sum is exact).
   SimTime TransferPathLatency(NodeId a, NodeId b) const;
 
   SimConfig config_;
   net::Topology topology_;
-  /// Routing + per-pair latency backend (dense matrices or the sparse
-  /// gateway-pivot oracle; see net/net_model.h).
+  /// Canonical routes + per-pair latencies (see net/net_model.h).
   net::NetModel net_;
   RoutingDistance distance_;
   std::vector<NodeId> redirector_homes_;

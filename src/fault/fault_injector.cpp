@@ -85,16 +85,6 @@ std::uint32_t FaultInjector::crash_epoch(NodeId n) const {
   return crash_epochs_[static_cast<std::size_t>(n)];
 }
 
-net::Graph FaultInjector::LiveGraph() const {
-  net::Graph live(graph_.num_nodes());
-  for (std::size_t l = 0; l < link_up_.size(); ++l) {
-    if (link_up_[l] == 0) continue;
-    const net::Link& lk = graph_.link(static_cast<std::int32_t>(l));
-    live.AddLink(lk.a, lk.b, lk.delay, lk.bandwidth_bps);
-  }
-  return live;
-}
-
 FaultInjector::RequestFate FaultInjector::FateForRequestLeg() {
   RequestFate fate;
   const double drop = plan_.DropProb(MessageClass::kRequest);
@@ -151,14 +141,10 @@ void FaultInjector::Apply(const ScriptedEvent& ev) {
       ApplyHostRecover(ev.host);
       break;
     case FaultKind::kLinkDown:
-      if (ApplyLinkDown(ResolveLink(ev.link_a, ev.link_b))) {
-        NotifyTopologyChange();
-      }
+      ApplyLinkDown(ResolveLink(ev.link_a, ev.link_b));
       break;
     case FaultKind::kLinkUp:
-      if (ApplyLinkUp(ResolveLink(ev.link_a, ev.link_b))) {
-        NotifyTopologyChange();
-      }
+      ApplyLinkUp(ResolveLink(ev.link_a, ev.link_b));
       break;
   }
 }
@@ -180,24 +166,22 @@ void FaultInjector::ApplyHostRecover(NodeId h) {
   if (hooks_.on_host_recover) hooks_.on_host_recover(h, sim_->Now());
 }
 
-bool FaultInjector::ApplyLinkDown(std::size_t link_index) {
-  if (link_up_[link_index] == 0) return false;
+void FaultInjector::ApplyLinkDown(std::size_t link_index) {
+  if (link_up_[link_index] == 0) return;
   if (WouldDisconnect(link_index)) {
     ++counters_.suppressed_link_faults;
-    return false;
+    return;
   }
   link_up_[link_index] = 0;
   ++counters_.link_downs;
   if (hooks_.on_link_change) hooks_.on_link_change(link_index, false);
-  return true;
 }
 
-bool FaultInjector::ApplyLinkUp(std::size_t link_index) {
-  if (link_up_[link_index] != 0) return false;
+void FaultInjector::ApplyLinkUp(std::size_t link_index) {
+  if (link_up_[link_index] != 0) return;
   link_up_[link_index] = 1;
   ++counters_.link_ups;
   if (hooks_.on_link_change) hooks_.on_link_change(link_index, true);
-  return true;
 }
 
 // The stochastic processes alternate crash/repair timers per host (and
@@ -232,7 +216,7 @@ void FaultInjector::ScheduleLinkDownTimer(std::size_t link_index) {
       link_rngs_[link_index].NextExponential(plan_.link_faults.mtbf_s);
   sim_->Schedule(SecondsToSim(wait_s), [this, link_index] {
     if (quiesced_) return;
-    if (ApplyLinkDown(link_index)) NotifyTopologyChange();
+    ApplyLinkDown(link_index);
     ScheduleLinkUpTimer(link_index);
   });
 }
@@ -242,7 +226,7 @@ void FaultInjector::ScheduleLinkUpTimer(std::size_t link_index) {
       link_rngs_[link_index].NextExponential(plan_.link_faults.mttr_s);
   sim_->Schedule(SecondsToSim(wait_s), [this, link_index] {
     if (quiesced_) return;
-    if (ApplyLinkUp(link_index)) NotifyTopologyChange();
+    ApplyLinkUp(link_index);
     ScheduleLinkDownTimer(link_index);
   });
 }
@@ -252,11 +236,7 @@ void FaultInjector::Quiesce() {
   for (std::size_t h = 0; h < host_up_.size(); ++h) {
     ApplyHostRecover(static_cast<NodeId>(h));
   }
-  bool links_changed = false;
-  for (std::size_t l = 0; l < link_up_.size(); ++l) {
-    links_changed = ApplyLinkUp(l) || links_changed;
-  }
-  if (links_changed) NotifyTopologyChange();
+  for (std::size_t l = 0; l < link_up_.size(); ++l) ApplyLinkUp(l);
 }
 
 bool FaultInjector::WouldDisconnect(std::size_t link_index) const {
@@ -279,10 +259,6 @@ std::size_t FaultInjector::ResolveLink(NodeId a, NodeId b) const {
   }
   RADAR_CHECK_MSG(false, "fault plan names a link absent from the topology");
   return 0;
-}
-
-void FaultInjector::NotifyTopologyChange() {
-  if (hooks_.on_topology_change) hooks_.on_topology_change(sim_->Now());
 }
 
 }  // namespace radar::fault

@@ -14,10 +14,11 @@
 //     on a crashed host are unavailable, never destroyed, so no fault
 //     schedule can lose an object. Recovery hands the surviving replicas
 //     back to the driver for re-registration.
-//   - Link down/up changes the backbone topology; the driver rebuilds
-//     routing and the PathLatencyMatrix at the fault epoch. A link fault
-//     that would disconnect the backbone is suppressed (and counted):
-//     routing over a partitioned graph is undefined in this model.
+//   - Link down/up changes the backbone topology; the driver patches the
+//     network model's routes and latencies per applied link event. A link
+//     fault that would disconnect the backbone is suppressed (and
+//     counted): routing over a partitioned graph is undefined in this
+//     model.
 //   - Control-message faults perturb request legs (drop/delay) and the
 //     synchronous CreateObj exchanges (bounded resends, then abort; or an
 //     accepted transfer whose ack is lost — the source treats it as a
@@ -67,16 +68,14 @@ class FaultInjector {
  public:
   /// Driver callbacks. on_host_crash fires after the host is marked down
   /// (prune redirectors, reset the server queue); on_host_recover after it
-  /// is marked up (re-register surviving replicas); on_topology_change
-  /// after any batch of link state changes (rebuild routing + latency).
+  /// is marked up (re-register surviving replicas).
   struct Hooks {
     std::function<void(NodeId, SimTime)> on_host_crash;
     std::function<void(NodeId, SimTime)> on_host_recover;
-    std::function<void(SimTime)> on_topology_change;
     /// Fires per *applied* link state change (suppressed / no-op changes
-    /// do not fire), before the batch's on_topology_change. The sparse
-    /// latency oracle consumes this for incremental invalidation — it
-    /// needs to know which link moved, not just that something did.
+    /// do not fire). The network model patches its routes incrementally
+    /// from this — it needs to know which link moved, not just that
+    /// something did.
     std::function<void(std::size_t link_index, bool up)> on_link_change;
   };
 
@@ -106,10 +105,6 @@ class FaultInjector {
   std::uint32_t crash_epoch(NodeId n) const;
   bool quiesced() const { return quiesced_; }
 
-  /// The backbone restricted to links currently up (always connected, by
-  /// the suppression rule). Rebuild routing from this at a fault epoch.
-  net::Graph LiveGraph() const;
-
   // ---- Fate sampling (the only consumers of the plan's probabilities) ----
 
   struct RequestFate {
@@ -132,9 +127,10 @@ class FaultInjector {
   void Apply(const ScriptedEvent& ev);
   void ApplyHostCrash(NodeId h);
   void ApplyHostRecover(NodeId h);
-  /// Returns true when the change was applied (not suppressed / no-op).
-  bool ApplyLinkDown(std::size_t link_index);
-  bool ApplyLinkUp(std::size_t link_index);
+  /// No-ops on a link already in the target state; ApplyLinkDown also
+  /// suppresses (and counts) a change that would disconnect the backbone.
+  void ApplyLinkDown(std::size_t link_index);
+  void ApplyLinkUp(std::size_t link_index);
   void ScheduleHostCrashTimer(NodeId h);
   void ScheduleHostRecoverTimer(NodeId h);
   void ScheduleLinkDownTimer(std::size_t link_index);
@@ -142,7 +138,6 @@ class FaultInjector {
   void Quiesce();
   bool WouldDisconnect(std::size_t link_index) const;
   std::size_t ResolveLink(NodeId a, NodeId b) const;
-  void NotifyTopologyChange();
 
   FaultPlan plan_;
   const net::Graph& graph_;

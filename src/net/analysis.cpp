@@ -7,17 +7,20 @@
 namespace radar::net {
 
 std::vector<FunnelReport> ComputeFunnels(const Topology& topology,
-                                         const RoutingTable& routing) {
+                                         const NetModel& net) {
   const std::int32_t n = topology.num_nodes();
-  RADAR_CHECK_EQ(routing.num_nodes(), n);
+  RADAR_CHECK_EQ(net.num_nodes(), n);
   std::vector<FunnelReport> reports;
   reports.reserve(static_cast<std::size_t>(n));
   std::vector<std::int32_t> transit_count(static_cast<std::size_t>(n));
+  std::vector<NodeId> path;
   for (NodeId source = 0; source < n; ++source) {
     std::fill(transit_count.begin(), transit_count.end(), 0);
     for (NodeId dest = 0; dest < n; ++dest) {
       if (dest == source) continue;
-      for (const NodeId via : routing.Path(source, dest)) {
+      path.clear();
+      net.AppendPath(source, dest, &path);
+      for (const NodeId via : path) {
         if (via != source) {
           ++transit_count[static_cast<std::size_t>(via)];
         }
@@ -42,10 +45,9 @@ std::vector<FunnelReport> ComputeFunnels(const Topology& topology,
 }
 
 std::vector<FunnelReport> FunnelsAbove(const Topology& topology,
-                                       const RoutingTable& routing,
-                                       double threshold) {
+                                       const NetModel& net, double threshold) {
   std::vector<FunnelReport> out;
-  for (const FunnelReport& report : ComputeFunnels(topology, routing)) {
+  for (const FunnelReport& report : ComputeFunnels(topology, net)) {
     if (report.fraction > threshold) out.push_back(report);
   }
   std::stable_sort(out.begin(), out.end(),

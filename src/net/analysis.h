@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "net/routing.h"
+#include "net/net_model.h"
 #include "net/topology.h"
 
 namespace radar::net {
@@ -24,14 +24,14 @@ struct FunnelReport {
 };
 
 /// Computes the per-source transit funnel under uniform demand (every
-/// other node an equally likely destination). Sorted by source id.
+/// other node an equally likely destination), over the routes `net`
+/// serves — the ones the simulator uses. Sorted by source id.
 std::vector<FunnelReport> ComputeFunnels(const Topology& topology,
-                                         const RoutingTable& routing);
+                                         const NetModel& net);
 
 /// Sources whose funnel fraction exceeds `threshold` (e.g. the protocol's
 /// MIGR_RATIO), sorted by descending fraction.
 std::vector<FunnelReport> FunnelsAbove(const Topology& topology,
-                                       const RoutingTable& routing,
-                                       double threshold);
+                                       const NetModel& net, double threshold);
 
 }  // namespace radar::net

@@ -1,43 +1,43 @@
 #include "net/routing.h"
 
-#include <algorithm>
-#include <limits>
-#include <queue>
-
 #include "common/check.h"
 
 namespace radar::net {
 namespace {
-
-constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
-
-struct QueueEntry {
-  std::int64_t cost;
-  NodeId node;
-  bool operator>(const QueueEntry& other) const {
-    // Lower cost first; ties toward the lower node id so settlement order,
-    // and therefore parent choice, is deterministic.
-    if (cost != other.cost) return cost > other.cost;
-    return node > other.node;
-  }
-};
 
 bool LinkIsUp(const std::vector<char>* link_up, std::int32_t link_index) {
   return link_up == nullptr ||
          (*link_up)[static_cast<std::size_t>(link_index)] != 0;
 }
 
-/// Unit-weight specialization: plain BFS for distances, then one pass per
-/// node picking the canonical parent. In Dijkstra with unit weights the
-/// candidate predecessors of v are exactly its neighbors one layer closer
-/// to the source, offered in settlement order (ascending node id within a
-/// layer, which is the adjacency order since neighbor lists are sorted);
-/// the first offer assigns unconditionally and later equal-cost offers
-/// win only on strictly smaller tie-break rank. Reproducing that argmin
-/// directly yields byte-identical trees at O(n + m) per source instead of
-/// O(m log n).
-void BuildHopTree(const Graph& graph, NodeId src,
-                  const std::vector<char>* link_up, ShortestPathTree* out) {
+}  // namespace
+
+std::uint64_t RouteTieBreakRank(NodeId src, NodeId via, NodeId parent) {
+  std::uint64_t z = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 42) ^
+                    (static_cast<std::uint64_t>(static_cast<std::uint32_t>(via)) << 21) ^
+                    static_cast<std::uint64_t>(static_cast<std::uint32_t>(parent));
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// Plain BFS for distances, then one pass per node picking the canonical
+/// parent. In Dijkstra with unit weights the candidate predecessors of v
+/// are exactly its neighbors one layer closer to the source, offered in
+/// settlement order (ascending node id within a layer, which is the
+/// adjacency order since neighbor lists are sorted); the first offer
+/// assigns unconditionally and later equal-cost offers win only on
+/// strictly smaller tie-break rank. Reproducing that argmin directly
+/// yields the same trees at O(n + m) per source instead of O(m log n).
+void BuildShortestPathTree(const Graph& graph, NodeId src,
+                           const std::vector<char>* link_up,
+                           ShortestPathTree* out) {
+  RADAR_CHECK_GE(src, 0);
+  RADAR_CHECK_LT(src, graph.num_nodes());
+  if (link_up != nullptr) {
+    RADAR_CHECK_EQ(link_up->size(), graph.num_links());
+  }
   const auto n = static_cast<std::size_t>(graph.num_nodes());
   out->hops.assign(n, -1);
   std::vector<std::int32_t>& hops = out->hops;
@@ -59,12 +59,9 @@ void BuildHopTree(const Graph& graph, NodeId src,
   }
 
   out->parent.assign(n, kInvalidNode);
-  out->cost.assign(n, kInf);
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     const std::int32_t hv = hops[static_cast<std::size_t>(v)];
-    if (hv < 0) continue;  // unreachable under the mask; caller checks
-    out->cost[static_cast<std::size_t>(v)] = hv;
-    if (v == src) continue;
+    if (hv <= 0) continue;  // the root, or unreachable under the mask
     NodeId best = kInvalidNode;
     std::uint64_t best_rank = 0;
     for (const Edge& e : graph.Neighbors(v)) {
@@ -79,191 +76,6 @@ void BuildHopTree(const Graph& graph, NodeId src,
     RADAR_CHECK(best != kInvalidNode);
     out->parent[static_cast<std::size_t>(v)] = best;
   }
-}
-
-void BuildDelayTree(const Graph& graph, NodeId src,
-                    const std::vector<char>* link_up, ShortestPathTree* out) {
-  const auto n = static_cast<std::size_t>(graph.num_nodes());
-  out->cost.assign(n, kInf);
-  out->parent.assign(n, kInvalidNode);
-  out->hops.assign(n, -1);
-  std::vector<std::int64_t>& dist = out->cost;
-  std::vector<NodeId>& parent = out->parent;
-  dist[static_cast<std::size_t>(src)] = 0;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue;
-  queue.push({0, src});
-  while (!queue.empty()) {
-    const auto [cost, node] = queue.top();
-    queue.pop();
-    if (cost > dist[static_cast<std::size_t>(node)]) continue;
-    for (const Edge& e : graph.Neighbors(node)) {
-      if (!LinkIsUp(link_up, e.link_index)) continue;
-      const std::int64_t candidate = cost + static_cast<std::int64_t>(e.delay);
-      auto& d = dist[static_cast<std::size_t>(e.to)];
-      auto& p = parent[static_cast<std::size_t>(e.to)];
-      // Equal-cost ties break on a deterministic hash of (source,
-      // settled node, parent) rather than the lowest parent id: the
-      // paper only requires that "one path is chosen for all requests
-      // from i to j", and hashing spreads different destinations over
-      // the equal-cost alternatives the way real backbones load-share,
-      // instead of collapsing all multipath onto one canonical hub.
-      if (candidate < d ||
-          (candidate == d && RouteTieBreakRank(src, e.to, node) <
-                                 RouteTieBreakRank(src, e.to, p))) {
-        d = candidate;
-        p = node;
-        queue.push({candidate, e.to});
-      }
-    }
-  }
-
-  // Hop counts by walking each node's parent chain with memoization on
-  // the hops array itself (parents may settle in any cost order when
-  // zero-delay links exist, so a sorted DP is not safe here).
-  out->hops[static_cast<std::size_t>(src)] = 0;
-  std::vector<NodeId> chain;
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (dist[static_cast<std::size_t>(v)] == kInf) continue;
-    chain.clear();
-    NodeId at = v;
-    while (out->hops[static_cast<std::size_t>(at)] < 0) {
-      chain.push_back(at);
-      at = parent[static_cast<std::size_t>(at)];
-      RADAR_CHECK(at != kInvalidNode);
-    }
-    std::int32_t h = out->hops[static_cast<std::size_t>(at)];
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      out->hops[static_cast<std::size_t>(*it)] = ++h;
-    }
-  }
-}
-
-}  // namespace
-
-std::uint64_t RouteTieBreakRank(NodeId src, NodeId via, NodeId parent) {
-  std::uint64_t z = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 42) ^
-                    (static_cast<std::uint64_t>(static_cast<std::uint32_t>(via)) << 21) ^
-                    static_cast<std::uint64_t>(static_cast<std::uint32_t>(parent));
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-void BuildShortestPathTree(const Graph& graph, NodeId src, RoutingMetric metric,
-                           const std::vector<char>* link_up,
-                           ShortestPathTree* out) {
-  RADAR_CHECK_GE(src, 0);
-  RADAR_CHECK_LT(src, graph.num_nodes());
-  if (link_up != nullptr) {
-    RADAR_CHECK_EQ(link_up->size(), graph.num_links());
-  }
-  if (metric == RoutingMetric::kHops) {
-    BuildHopTree(graph, src, link_up, out);
-  } else {
-    BuildDelayTree(graph, src, link_up, out);
-  }
-}
-
-RoutingTable::RoutingTable(const Graph& graph, RoutingMetric metric)
-    : num_nodes_(graph.num_nodes()), metric_(metric) {
-  RADAR_CHECK_GT(num_nodes_, 0);
-  RADAR_CHECK_MSG(graph.IsConnected(), "routing requires a connected graph");
-  const auto n = static_cast<std::size_t>(num_nodes_);
-  hop_distance_.resize(n * n);
-  parent_.resize(n * n);
-  if (metric_ == RoutingMetric::kDelay) cost_.resize(n * n);
-
-  ShortestPathTree tree;
-  for (NodeId src = 0; src < num_nodes_; ++src) {
-    BuildShortestPathTree(graph, src, metric_, nullptr, &tree);
-    const std::size_t base = static_cast<std::size_t>(src) * n;
-    for (std::size_t v = 0; v < n; ++v) {
-      RADAR_CHECK_GE(tree.hops[v], 0);
-      hop_distance_[base + v] = tree.hops[v];
-      parent_[base + v] = tree.parent[v];
-      if (metric_ == RoutingMetric::kDelay) cost_[base + v] = tree.cost[v];
-    }
-  }
-}
-
-std::int64_t RoutingTable::Cost(NodeId from, NodeId to) const {
-  if (metric_ == RoutingMetric::kHops) return HopDistance(from, to);
-  return cost_[PairIndex(from, to)];
-}
-
-std::vector<NodeId> RoutingTable::Path(NodeId from, NodeId to) const {
-  std::vector<NodeId> path;
-  path.reserve(static_cast<std::size_t>(HopDistance(from, to)) + 1);
-  AppendPath(from, to, &path);
-  return path;
-}
-
-void RoutingTable::AppendPath(NodeId from, NodeId to,
-                              std::vector<NodeId>* out) const {
-  const NodeId* parent = ParentRow(from);
-  const auto start = static_cast<std::ptrdiff_t>(out->size());
-  for (NodeId at = to;;) {
-    out->push_back(at);
-    if (at == from) break;
-    at = parent[static_cast<std::size_t>(at)];
-    RADAR_CHECK(at != kInvalidNode);
-  }
-  std::reverse(out->begin() + start, out->end());
-}
-
-NodeId RoutingTable::NextHop(NodeId from, NodeId to) const {
-  if (from == to) return from;
-  const NodeId* parent = ParentRow(from);
-  (void)PairIndex(from, to);
-  NodeId at = to;
-  while (parent[static_cast<std::size_t>(at)] != from) {
-    at = parent[static_cast<std::size_t>(at)];
-    RADAR_CHECK(at != kInvalidNode);
-  }
-  return at;
-}
-
-double RoutingTable::MeanHopDistance(NodeId from) const {
-  if (num_nodes_ <= 1) return 0.0;
-  std::int64_t total = 0;
-  for (NodeId to = 0; to < num_nodes_; ++to) total += HopDistance(from, to);
-  return static_cast<double>(total) / static_cast<double>(num_nodes_ - 1);
-}
-
-std::vector<double> RoutingTable::AllMeanHopDistances() const {
-  std::vector<double> mean(static_cast<std::size_t>(num_nodes_));
-  for (NodeId n = 0; n < num_nodes_; ++n) {
-    mean[static_cast<std::size_t>(n)] = MeanHopDistance(n);
-  }
-  return mean;
-}
-
-NodeId RoutingTable::MostCentralNode() const {
-  const std::vector<double> mean = AllMeanHopDistances();
-  NodeId best = 0;
-  for (NodeId n = 1; n < num_nodes_; ++n) {
-    if (mean[static_cast<std::size_t>(n)] <
-        mean[static_cast<std::size_t>(best)]) {
-      best = n;
-    }
-  }
-  return best;
-}
-
-std::vector<NodeId> RoutingTable::NodesByCentrality() const {
-  std::vector<NodeId> nodes(static_cast<std::size_t>(num_nodes_));
-  for (NodeId n = 0; n < num_nodes_; ++n) nodes[static_cast<std::size_t>(n)] = n;
-  const std::vector<double> mean = AllMeanHopDistances();
-  std::stable_sort(nodes.begin(), nodes.end(), [&](NodeId a, NodeId b) {
-    const double ma = mean[static_cast<std::size_t>(a)];
-    const double mb = mean[static_cast<std::size_t>(b)];
-    if (ma != mb) return ma < mb;
-    return a < b;
-  });
-  return nodes;
 }
 
 }  // namespace radar::net

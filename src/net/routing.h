@@ -1,19 +1,16 @@
-// All-pairs shortest-path routing with deterministic tie-breaking.
+// Canonical shortest-path trees with deterministic tie-breaking.
 //
 // The paper's simulation routes every request along the shortest path in
 // hops, and "when there are equidistant paths between nodes i and j, one
 // path is chosen for all requests from i to j" (Sec. 6.1). We reproduce
-// that by breaking distance ties toward the lowest-numbered parent, which
-// pins one canonical path per (source, destination) pair.
+// that by breaking distance ties on a deterministic rank of (source,
+// node, candidate parent), which pins one canonical path per (source,
+// destination) pair. net::NetModel (net/net_model.h) stores one such tree
+// per rowed source.
 //
 // The router path from host s to client gateway g doubles as the
 // *preference path* of Sec. 2: the sequence of hosts co-located with the
 // routers a response passes by.
-//
-// Storage is per-source parent trees (n rows of n parents) rather than
-// materialized per-pair hop vectors: at 10k nodes the latter is ~10^8
-// heap vectors and exceeds memory, while the trees encode exactly the
-// same canonical paths in two dense POD arrays.
 #pragma once
 
 #include <cstdint>
@@ -23,113 +20,29 @@
 
 namespace radar::net {
 
-/// Metric used to choose shortest paths.
-enum class RoutingMetric {
-  kHops,   ///< unit link weight (the paper's model)
-  kDelay,  ///< per-link propagation delay
-};
-
 /// Deterministic rank for equal-cost parent selection (SplitMix64-style
-/// mix of source, destination-side node, and candidate parent). Shared by
-/// the dense RoutingTable and the sparse gateway-pivot oracle so both pin
-/// the same canonical path for any (source, destination) pair.
+/// mix of source, destination-side node, and candidate parent). Hashing
+/// instead of picking the lowest parent id spreads different
+/// destinations over the equal-cost alternatives, the way real backbones
+/// load-share, instead of collapsing all multipath onto one hub.
 std::uint64_t RouteTieBreakRank(NodeId src, NodeId via, NodeId parent);
 
 /// One canonical shortest-path tree rooted at a source node. `parent` is
-/// kInvalidNode at the root; `cost` is the metric cost (hops or summed
-/// delay); `hops` is the link count of the canonical path.
+/// kInvalidNode at the root; `hops` is the link count of the canonical
+/// path (-1 for a node the masked graph cannot reach).
 struct ShortestPathTree {
-  std::vector<std::int64_t> cost;
   std::vector<NodeId> parent;
   std::vector<std::int32_t> hops;
 };
 
-/// Builds the canonical shortest-path tree rooted at `src`. When
-/// `link_up` is non-null it masks `graph`'s links by link index (false =
-/// down, edge ignored); the masked subgraph must still reach every node.
-/// The tree (distances, parents, tie-breaks) is byte-identical to the one
-/// a RoutingTable built over the equivalent filtered graph would produce,
-/// which is what lets the sparse oracle epoch incrementally against the
-/// master graph instead of re-indexing a live copy.
-void BuildShortestPathTree(const Graph& graph, NodeId src, RoutingMetric metric,
+/// Builds the canonical hop-metric shortest-path tree rooted at `src`.
+/// When `link_up` is non-null it masks `graph`'s links by link index
+/// (false = down, edge ignored). The tree (distances, parents,
+/// tie-breaks) is identical to the one built over the equivalent
+/// filtered graph, which is what lets NetModel epoch incrementally
+/// against the master graph instead of re-indexing a live copy.
+void BuildShortestPathTree(const Graph& graph, NodeId src,
                            const std::vector<char>* link_up,
                            ShortestPathTree* out);
-
-class RoutingTable {
- public:
-  /// Builds routes for every ordered pair. Requires a connected graph.
-  explicit RoutingTable(const Graph& graph,
-                        RoutingMetric metric = RoutingMetric::kHops);
-
-  std::int32_t num_nodes() const { return num_nodes_; }
-
-  // The pair accessors below run several times per simulated request, so
-  // they are unchecked header inlines: node ids must be in [0, num_nodes)
-  // (every caller derives them from the same graph this table indexed).
-
-  /// Number of links on the canonical path from `from` to `to` (0 when
-  /// from == to).
-  std::int32_t HopDistance(NodeId from, NodeId to) const {
-    return hop_distance_[PairIndex(from, to)];
-  }
-
-  /// Contiguous row of hop distances from `from` to every node (entry
-  /// [to] == HopDistance(from, to)); backs DistanceOracle::DistanceRow.
-  const std::int32_t* HopRow(NodeId from) const {
-    return &hop_distance_[PairIndex(from, 0)];
-  }
-
-  /// Contiguous row of canonical-tree parents for source `from` (entry
-  /// [to] == predecessor of `to` on the path from `from`; kInvalidNode at
-  /// `from` itself). Lets consumers walk or DP over canonical paths
-  /// without materializing them.
-  const NodeId* ParentRow(NodeId from) const {
-    return &parent_[PairIndex(from, 0)];
-  }
-
-  /// Total metric cost of the canonical path (hops or summed delay).
-  std::int64_t Cost(NodeId from, NodeId to) const;
-
-  /// The canonical path, inclusive of both endpoints; size = hops + 1.
-  /// Reconstructed from the parent tree on each call — hot callers should
-  /// use AppendPath with a reused scratch vector instead.
-  std::vector<NodeId> Path(NodeId from, NodeId to) const;
-
-  /// Appends the canonical path (inclusive of both endpoints) to `*out`
-  /// without clearing it. Allocation-free once `out` has capacity.
-  void AppendPath(NodeId from, NodeId to, std::vector<NodeId>* out) const;
-
-  /// First router after `from` on the path to `to` (== to if adjacent,
-  /// == from if from == to).
-  NodeId NextHop(NodeId from, NodeId to) const;
-
-  /// Mean hop distance from `from` to all other nodes.
-  double MeanHopDistance(NodeId from) const;
-
-  /// The node with the smallest mean hop distance to all others — the
-  /// paper places the redirector there. Ties break toward the lower id.
-  NodeId MostCentralNode() const;
-
-  /// Nodes ranked by centrality (ascending mean hop distance); used to
-  /// place hash-partitioned redirector groups.
-  std::vector<NodeId> NodesByCentrality() const;
-
- private:
-  std::size_t PairIndex(NodeId from, NodeId to) const {
-    return static_cast<std::size_t>(from) *
-               static_cast<std::size_t>(num_nodes_) +
-           static_cast<std::size_t>(to);
-  }
-
-  /// Mean hop distance of every node, computed in one pass; shared by
-  /// MostCentralNode and NodesByCentrality so neither recomputes per node.
-  std::vector<double> AllMeanHopDistances() const;
-
-  std::int32_t num_nodes_ = 0;
-  RoutingMetric metric_ = RoutingMetric::kHops;
-  std::vector<std::int32_t> hop_distance_;  // dense num_nodes^2
-  std::vector<NodeId> parent_;              // dense num_nodes^2 (tree rows)
-  std::vector<std::int64_t> cost_;          // dense num_nodes^2, kDelay only
-};
 
 }  // namespace radar::net

@@ -1,7 +1,7 @@
 #include "net/topology_gen.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,34 +23,19 @@ SimTime DrawDelayMs(Rng& rng, std::int64_t lo_ms, std::int64_t hi_ms) {
   return MillisToSim(static_cast<double>(rng.NextInRange(lo_ms, hi_ms)));
 }
 
-struct KeyValue {
-  std::string key;
-  std::int64_t value = 0;
-};
-
-std::vector<KeyValue> ParseKeyValues(const std::string& body,
-                                     const std::string& spec) {
-  std::vector<KeyValue> out;
-  std::size_t pos = 0;
-  while (pos < body.size()) {
-    std::size_t comma = body.find(',', pos);
-    if (comma == std::string::npos) comma = body.size();
-    const std::string item = body.substr(pos, comma - pos);
-    const std::size_t eq = item.find('=');
-    RADAR_CHECK_MSG(eq != std::string::npos && eq > 0 && eq + 1 < item.size(),
-                    ("malformed topology spec item '" + item + "' in '" +
-                     spec + "' (expected key=value)")
-                        .c_str());
-    char* end = nullptr;
-    const std::int64_t value =
-        std::strtoll(item.c_str() + eq + 1, &end, 10);
-    RADAR_CHECK_MSG(end != nullptr && *end == '\0',
-                    ("non-numeric value in topology spec item '" + item + "'")
-                        .c_str());
-    out.push_back({item.substr(0, eq), value});
-    pos = comma + 1;
+/// Parses a non-empty run of decimal digits no larger than `max`.
+bool ParseCount(const std::string& text, std::uint64_t max,
+                std::uint64_t* out) {
+  if (text.empty()) return false;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (max - digit) / 10) return false;
+    value = value * 10 + digit;
   }
-  return out;
+  *out = value;
+  return true;
 }
 
 Topology GenerateTransitStub(const TopologySpec& spec) {
@@ -289,36 +274,126 @@ bool IsTopologySpec(const std::string& spec) {
   return spec.rfind("ts:", 0) == 0 || spec.rfind("sf:", 0) == 0;
 }
 
-TopologySpec ParseTopologySpec(const std::string& spec) {
-  RADAR_CHECK_MSG(IsTopologySpec(spec),
-                  "topology spec must start with 'ts:' or 'sf:'");
+std::optional<TopologySpec> ParseTopologySpec(const std::string& spec,
+                                              std::string* error) {
+  const auto fail = [&](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return std::optional<TopologySpec>();
+  };
+  if (!IsTopologySpec(spec)) {
+    return fail("topology spec must start with 'ts:' or 'sf:'");
+  }
   TopologySpec out;
-  out.family = spec.rfind("ts:", 0) == 0 ? TopologySpec::Family::kTransitStub
-                                         : TopologySpec::Family::kScaleFree;
-  for (const KeyValue& kv : ParseKeyValues(spec.substr(3), spec)) {
-    if (kv.key == "seed") {
-      out.seed = static_cast<std::uint64_t>(kv.value);
-    } else if (kv.key == "n") {
-      out.target_nodes = static_cast<std::int32_t>(kv.value);
-    } else if (kv.key == "domains") {
-      out.transit_domains = static_cast<int>(kv.value);
-    } else if (kv.key == "transit") {
-      out.transit_per_domain = static_cast<int>(kv.value);
-    } else if (kv.key == "stubs") {
-      out.stubs_per_transit = static_cast<int>(kv.value);
-    } else if (kv.key == "stub") {
-      out.stub_size = static_cast<int>(kv.value);
-    } else if (kv.key == "m") {
-      out.edges_per_node = static_cast<int>(kv.value);
-    } else if (kv.key == "gw") {
-      out.num_gateways = static_cast<int>(kv.value);
+  const bool ts = spec.rfind("ts:", 0) == 0;
+  out.family = ts ? TopologySpec::Family::kTransitStub
+                  : TopologySpec::Family::kScaleFree;
+  const std::vector<std::string> keys =
+      ts ? std::vector<std::string>{"seed", "n", "domains", "transit",
+                                    "stubs", "stub"}
+         : std::vector<std::string>{"seed", "n", "m", "gw"};
+  std::vector<std::string> seen;
+  const std::string body = spec.substr(3);
+  constexpr std::size_t kEnd = std::string::npos;
+  for (std::size_t pos = 0; !body.empty() && pos != kEnd;) {
+    const std::size_t comma = body.find(',', pos);
+    const std::string item =
+        body.substr(pos, comma == kEnd ? kEnd : comma - pos);
+    pos = comma == kEnd ? kEnd : comma + 1;
+    const std::size_t eq = item.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      return fail("malformed item '" + item + "' (expected key=value)");
+    }
+    const std::string key = item.substr(0, eq);
+    const std::string text = item.substr(eq + 1);
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      return fail("unknown key '" + key + "' for a " + spec.substr(0, 3) +
+                  " spec");
+    }
+    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
+      return fail("repeated key '" + key + "'");
+    }
+    seen.push_back(key);
+    std::uint64_t value = 0;
+    if (key == "seed") {
+      if (!ParseCount(text, UINT64_MAX, &value)) {
+        return fail("seed must be a non-negative integer, got '" + text + "'");
+      }
+      out.seed = value;
+      continue;
+    }
+    if (!ParseCount(text, INT32_MAX, &value)) {
+      return fail(key + " must be an integer in [0, 2^31), got '" + text +
+                  "'");
+    }
+    const auto v = static_cast<std::int32_t>(value);
+    if (key == "gw") {
+      if (v != 0 && v < kNumRegions) {
+        return fail("gw must be 0 (derive) or at least 4, one per region");
+      }
+      out.num_gateways = v;
+      continue;
+    }
+    if (v < 1) return fail(key + " must be at least 1");
+    if (key == "n") {
+      out.target_nodes = v;
+    } else if (key == "domains") {
+      out.transit_domains = v;
+    } else if (key == "transit") {
+      out.transit_per_domain = v;
+    } else if (key == "stubs") {
+      out.stubs_per_transit = v;
+    } else if (key == "stub") {
+      out.stub_size = v;
     } else {
-      RADAR_CHECK_MSG(
-          false, ("unknown topology spec key '" + kv.key + "'").c_str());
+      out.edges_per_node = v;  // "m"
     }
   }
-  if (out.family == TopologySpec::Family::kScaleFree) {
-    RADAR_CHECK_MSG(out.target_nodes > 0, "sf: requires n=<nodes>");
+
+  // Structure: every accepted spec must generate without tripping a
+  // generator invariant, and stay inside the size caps.
+  if (ts) {
+    const std::int64_t transit =
+        static_cast<std::int64_t>(out.transit_domains) *
+        out.transit_per_domain;
+    const std::int64_t min_nodes =
+        transit > kMaxGeneratedNodes
+            ? transit
+            : transit * (std::int64_t{out.stubs_per_transit} + 1);
+    if (min_nodes > kMaxGeneratedNodes) {
+      return fail("the transit-stub structure exceeds " +
+                  std::to_string(kMaxGeneratedNodes) + " nodes");
+    }
+    if (out.target_nodes > 0 && out.target_nodes < min_nodes) {
+      return fail("n=" + std::to_string(out.target_nodes) +
+                  " is too small for the transit-stub structure (needs "
+                  "domains*transit*(stubs+1) = " +
+                  std::to_string(min_nodes) + " nodes)");
+    }
+    const std::int64_t nodes =
+        out.target_nodes > 0
+            ? out.target_nodes
+            : transit + transit * out.stubs_per_transit * out.stub_size;
+    if (nodes > kMaxGeneratedNodes) {
+      return fail("the spec generates more than " +
+                  std::to_string(kMaxGeneratedNodes) + " nodes");
+    }
+  } else {
+    if (out.target_nodes == 0) return fail("sf: requires n=<nodes>");
+    if (out.target_nodes > kMaxGeneratedNodes) {
+      return fail("n exceeds " + std::to_string(kMaxGeneratedNodes) +
+                  " nodes");
+    }
+    if (out.target_nodes < kNumRegions) {
+      return fail("sf: needs n >= 4, one block per region");
+    }
+    if (out.edges_per_node >= out.target_nodes) {
+      return fail("sf: needs n > m");
+    }
+    if (static_cast<std::int64_t>(out.target_nodes) * out.edges_per_node >
+        kMaxGeneratedLinks) {
+      return fail("n*m exceeds " + std::to_string(kMaxGeneratedLinks) +
+                  " links");
+    }
   }
   return out;
 }
@@ -330,7 +405,10 @@ Topology GenerateTopology(const TopologySpec& spec) {
 }
 
 Topology GenerateTopology(const std::string& spec) {
-  return GenerateTopology(ParseTopologySpec(spec));
+  std::string error;
+  const std::optional<TopologySpec> parsed = ParseTopologySpec(spec, &error);
+  RADAR_CHECK_MSG(parsed.has_value(), (spec + ": " + error).c_str());
+  return GenerateTopology(*parsed);
 }
 
 }  // namespace radar::net

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "net/topology.h"
@@ -55,16 +56,26 @@ struct TopologySpec {
   std::int32_t ExpectedNodes() const;
 };
 
+/// Size caps for generated graphs: far beyond any run this simulator
+/// targets, and well inside 32-bit node and link ids.
+inline constexpr std::int64_t kMaxGeneratedNodes = std::int64_t{1} << 24;
+inline constexpr std::int64_t kMaxGeneratedLinks = std::int64_t{1} << 26;
+
 /// True when the string carries a generator prefix ("ts:" or "sf:").
 bool IsTopologySpec(const std::string& spec);
 
-/// Parses a generator spec; aborts with a message on malformed input.
-TopologySpec ParseTopologySpec(const std::string& spec);
+/// Parses a generator spec; returns std::nullopt and fills *error on
+/// malformed input: an unknown or repeated key, a value that is not a
+/// decimal integer in range, or a structure the generator cannot build.
+/// Every spec it accepts generates without aborting.
+std::optional<TopologySpec> ParseTopologySpec(const std::string& spec,
+                                              std::string* error);
 
 /// Generates the topology for a parsed spec.
 Topology GenerateTopology(const TopologySpec& spec);
 
-/// Convenience: parse + generate.
+/// Convenience for constant specs: parse + generate; aborts with the
+/// parse error on a malformed spec.
 Topology GenerateTopology(const std::string& spec);
 
 }  // namespace radar::net

@@ -13,6 +13,12 @@ std::string MakeError(int line, const std::string& message) {
   return os.str();
 }
 
+/// True when `tokens` has nothing left but whitespace.
+bool AtEnd(std::istringstream& tokens) {
+  std::string rest;
+  return !(tokens >> rest);
+}
+
 }  // namespace
 
 const char* RegionToken(Region region) {
@@ -38,6 +44,7 @@ std::optional<Topology> ReadTopology(std::istream& in, std::string* error) {
   std::string line;
   int line_number = 0;
   bool saw_link = false;
+  bool saw_gateway = false;
   auto fail = [&](const std::string& message) {
     if (error != nullptr) *error = MakeError(line_number, message);
     return std::nullopt;
@@ -65,9 +72,11 @@ std::optional<Topology> ReadTopology(std::istream& in, std::string* error) {
       if (role != "gateway" && role != "transit") {
         return fail("role must be 'gateway' or 'transit'");
       }
+      if (!AtEnd(tokens)) return fail("trailing tokens after node");
       if (builder.IdOf(name) != kInvalidNode) {
         return fail("duplicate node '" + name + "'");
       }
+      saw_gateway = saw_gateway || role == "gateway";
       builder.AddNode(name, *region, role == "gateway");
     } else if (keyword == "link") {
       saw_link = true;
@@ -79,6 +88,7 @@ std::optional<Topology> ReadTopology(std::istream& in, std::string* error) {
         return fail(
             "expected: link <a> <b> <delay-ms> <bandwidth-kbps>");
       }
+      if (!AtEnd(tokens)) return fail("trailing tokens after link");
       if (builder.IdOf(a) == kInvalidNode) {
         return fail("unknown node '" + a + "'");
       }
@@ -91,8 +101,11 @@ std::optional<Topology> ReadTopology(std::istream& in, std::string* error) {
       if (builder.HasLink(builder.IdOf(a), builder.IdOf(b))) {
         return fail("duplicate link " + a + " - " + b);
       }
-      if (delay_ms < 0.0 || bandwidth_kbps <= 0.0) {
-        return fail("delay must be >= 0 and bandwidth > 0");
+      if (!(delay_ms >= 0.0 && delay_ms <= kMaxLinkDelayMs)) {
+        return fail("delay must be in [0, 1e9] ms");
+      }
+      if (!(bandwidth_kbps >= kMinLinkBandwidthKbps)) {
+        return fail("bandwidth must be >= 1 kbps");
       }
       builder.Link(a, b, MillisToSim(delay_ms), bandwidth_kbps * 1024.0);
     } else {
@@ -103,6 +116,11 @@ std::optional<Topology> ReadTopology(std::istream& in, std::string* error) {
   if (builder.num_nodes() == 0) {
     line_number = 0;
     return fail("no nodes defined");
+  }
+  if (!saw_gateway) {
+    // Requests enter at gateways; without one a run serves nothing.
+    line_number = 0;
+    return fail("no gateway node");
   }
   if (!builder.IsConnected()) {
     line_number = 0;

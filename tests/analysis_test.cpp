@@ -6,6 +6,7 @@
 
 #include "core/params.h"
 #include "net/analysis.h"
+#include "net/net_model.h"
 #include "net/uunet.h"
 
 namespace radar::net {
@@ -13,6 +14,7 @@ namespace {
 
 constexpr SimTime kDelay = MillisToSim(10.0);
 constexpr double kBw = 350.0 * 1024.0;
+constexpr std::int64_t kObjectBytes = 12 * 1024;
 
 TEST(FunnelAnalysisTest, SpurNodeFunnelsCompletely) {
   // a - b - c: everything from 'a' transits b.
@@ -23,8 +25,8 @@ TEST(FunnelAnalysisTest, SpurNodeFunnelsCompletely) {
   builder.Link(0, 1, kDelay, kBw);
   builder.Link(1, 2, kDelay, kBw);
   const Topology topology = std::move(builder).Build();
-  const RoutingTable routing(topology.graph());
-  const auto reports = ComputeFunnels(topology, routing);
+  const NetModel net(topology, kObjectBytes);
+  const auto reports = ComputeFunnels(topology, net);
   ASSERT_EQ(reports.size(), 3u);
   EXPECT_EQ(reports[0].source, 0);
   EXPECT_EQ(reports[0].funnel, 1);
@@ -42,11 +44,11 @@ TEST(FunnelAnalysisTest, TriangleHasNoFunnelAboveHalf) {
   builder.Link(1, 2, kDelay, kBw);
   builder.Link(0, 2, kDelay, kBw);
   const Topology topology = std::move(builder).Build();
-  const RoutingTable routing(topology.graph());
-  for (const auto& report : ComputeFunnels(topology, routing)) {
+  const NetModel net(topology, kObjectBytes);
+  for (const auto& report : ComputeFunnels(topology, net)) {
     EXPECT_DOUBLE_EQ(report.fraction, 0.5);  // each neighbour gets one dest
   }
-  EXPECT_TRUE(FunnelsAbove(topology, routing, 0.6).empty());
+  EXPECT_TRUE(FunnelsAbove(topology, net, 0.6).empty());
 }
 
 TEST(FunnelAnalysisTest, FunnelsAboveSortsDescending) {
@@ -60,8 +62,8 @@ TEST(FunnelAnalysisTest, FunnelsAboveSortsDescending) {
   builder.Link(1, 2, kDelay, kBw);
   builder.Link(2, 3, kDelay, kBw);
   const Topology topology = std::move(builder).Build();
-  const RoutingTable routing(topology.graph());
-  const auto hot = FunnelsAbove(topology, routing, 0.6);
+  const NetModel net(topology, kObjectBytes);
+  const auto hot = FunnelsAbove(topology, net, 0.6);
   ASSERT_EQ(hot.size(), 4u);  // ends: 1.0; middles: 2/3
   EXPECT_DOUBLE_EQ(hot[0].fraction, 1.0);
   EXPECT_DOUBLE_EQ(hot[1].fraction, 1.0);
@@ -75,9 +77,9 @@ TEST(UunetFunnelTest, FunnelFractionsMostlyBelowMigrationRatio) {
   // single-exit geography is real), but the platform at large must sit
   // below the migration threshold or every object churns.
   const Topology topology = MakeUunetBackbone();
-  const RoutingTable routing(topology.graph());
+  const NetModel net(topology, kObjectBytes);
   const core::ProtocolParams params;
-  const auto hot = FunnelsAbove(topology, routing, params.migr_ratio);
+  const auto hot = FunnelsAbove(topology, net, params.migr_ratio);
   EXPECT_LE(hot.size(), 6u) << "backbone became too sparse";
   for (const auto& f : hot) {
     EXPECT_LT(f.fraction, 0.85)

@@ -1,12 +1,17 @@
 // Golden determinism pin for the request engine.
 //
-// The hot-path machinery (precomputed latency matrices, allocation-free
+// The hot-path machinery (precomputed path latencies, allocation-free
 // events, dense distance rows) is pure mechanism: it must not move a
 // single bit of simulation output. This test runs a short fig6-style
 // simulation and compares the full ReportJson dump byte-for-byte against
 // a committed golden produced by the pre-optimization engine, so any
 // change to event ordering, latency arithmetic, or replica choice fails
 // loudly with a diff.
+//
+// A second golden pins a generated transit-stub backbone under stochastic
+// link faults: there host-to-host legs and fault epochs exercise the
+// network model's every-node-rowed regime, which the all-gateway UUNET
+// graph cannot distinguish from the gateway-rows regime.
 //
 // Regenerate (only for an *intentional* semantic change, with a DESIGN.md
 // note):  RADAR_UPDATE_GOLDEN=1 ./determinism_test
@@ -21,12 +26,13 @@
 #include "driver/hosting_simulation.h"
 #include "driver/report_json.h"
 #include "fault/fault_plan.h"
+#include "net/topology_gen.h"
 
 namespace radar {
 namespace {
 
-std::string GoldenPath() {
-  return std::string(RADAR_GOLDEN_DIR) + "/fig6_short_report.json";
+std::string GoldenPath(const char* name) {
+  return std::string(RADAR_GOLDEN_DIR) + "/" + name;
 }
 
 // A scaled-down Fig. 6 run: default Table 1 rates on the UUNET backbone
@@ -41,26 +47,29 @@ driver::SimConfig GoldenConfig() {
   return config;
 }
 
-TEST(GoldenDeterminismTest, Fig6ShortRunReportIsByteIdentical) {
-  driver::HostingSimulation sim(GoldenConfig());
-  const driver::RunReport report = sim.Run();
-  const std::string dump = driver::ReportJson(report).Dump(2) + "\n";
+fault::FaultPlan ParsePlan(const char* text) {
+  std::istringstream in(text);
+  std::string error;
+  auto plan = fault::ParseFaultPlan(in, &error);
+  EXPECT_TRUE(plan.has_value()) << error;
+  return plan.value_or(fault::FaultPlan{});
+}
 
-  // The run must actually exercise the paths the engine optimizes.
-  ASSERT_GT(report.total_requests, 0);
-  ASSERT_GT(report.object_copies, 0);
-
+// Compares `dump` with the committed golden `name`, or rewrites the
+// golden when RADAR_UPDATE_GOLDEN is set.
+void ExpectMatchesGolden(const std::string& dump, const char* name) {
+  const std::string path = GoldenPath(name);
   if (std::getenv("RADAR_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(GoldenPath(), std::ios::binary);
-    ASSERT_TRUE(out.is_open()) << "cannot write " << GoldenPath();
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
     out << dump;
     ASSERT_TRUE(out.good());
-    GTEST_SKIP() << "golden updated: " << GoldenPath();
+    GTEST_SKIP() << "golden updated: " << path;
   }
 
-  std::ifstream in(GoldenPath(), std::ios::binary);
+  std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.is_open())
-      << "missing golden " << GoldenPath()
+      << "missing golden " << path
       << " (generate with RADAR_UPDATE_GOLDEN=1)";
   std::ostringstream buf;
   buf << in.rdbuf();
@@ -70,6 +79,34 @@ TEST(GoldenDeterminismTest, Fig6ShortRunReportIsByteIdentical) {
       << "engine output drifted from the committed golden; if the change "
          "is intentional, regenerate with RADAR_UPDATE_GOLDEN=1 and "
          "document why in DESIGN.md";
+}
+
+TEST(GoldenDeterminismTest, Fig6ShortRunReportIsByteIdentical) {
+  driver::HostingSimulation sim(GoldenConfig());
+  const driver::RunReport report = sim.Run();
+  const std::string dump = driver::ReportJson(report).Dump(2) + "\n";
+
+  // The run must actually exercise the paths the engine optimizes.
+  ASSERT_GT(report.total_requests, 0);
+  ASSERT_GT(report.object_copies, 0);
+  ExpectMatchesGolden(dump, "fig6_short_report.json");
+}
+
+// The same run on a 300-node transit-stub backbone (one gateway per stub
+// domain) with stochastic link faults: requests, copies and every fault
+// epoch's path updates all reach the report.
+TEST(GoldenDeterminismTest, GeneratedTopologyLinkFaultsIsByteIdentical) {
+  driver::SimConfig config = GoldenConfig();
+  config.faults = ParsePlan("link-faults 1200 30\n");
+  driver::HostingSimulation sim(config,
+                                net::GenerateTopology("ts:n=300,seed=7"));
+  const driver::RunReport report = sim.Run();
+  const std::string dump = driver::ReportJson(report).Dump(2) + "\n";
+
+  ASSERT_GT(report.total_requests, 0);
+  ASSERT_GT(report.object_copies, 0);
+  ASSERT_GT(report.availability.link_downs, 0);
+  ExpectMatchesGolden(dump, "ts300_link_faults_report.json");
 }
 
 std::string RunDump(const driver::SimConfig& config) {
@@ -96,7 +133,8 @@ driver::SimConfig PoissonConfig() {
 }
 
 driver::SimConfig FaultConfig() {
-  std::istringstream in(
+  driver::SimConfig config = GoldenConfig();
+  config.faults = ParsePlan(
       "crash 3 20\n"
       "recover 3 60\n"
       "link-down 0 1 30\n"
@@ -104,11 +142,6 @@ driver::SimConfig FaultConfig() {
       "host-faults 400 40\n"
       "loss request 0.02\n"
       "delay request 0.05 30\n");
-  std::string error;
-  auto plan = fault::ParseFaultPlan(in, &error);
-  EXPECT_TRUE(plan.has_value()) << error;
-  driver::SimConfig config = GoldenConfig();
-  config.faults = plan.value_or(fault::FaultPlan{});
   config.replica_floor = 2;
   return config;
 }

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "driver/hosting_simulation.h"
+#include "net/routing.h"
 
 namespace radar::driver {
 namespace {
@@ -68,8 +69,23 @@ TEST(WorkloadKindTest, Names) {
 }
 
 TEST(HostingSimulationTest, RedirectorAtMostCentralNode) {
+  // The paper co-locates the redirector with the node of minimum total
+  // (equivalently, mean) hop distance to all others; ties to the lower id.
   HostingSimulation sim(SmallConfig());
-  EXPECT_EQ(sim.redirector_home(0), sim.routing().MostCentralNode());
+  const net::Graph& g = sim.topology().graph();
+  net::ShortestPathTree tree;
+  NodeId best = kInvalidNode;
+  std::int64_t best_total = 0;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    net::BuildShortestPathTree(g, n, nullptr, &tree);
+    std::int64_t total = 0;
+    for (const std::int32_t h : tree.hops) total += h;
+    if (best == kInvalidNode || total < best_total) {
+      best = n;
+      best_total = total;
+    }
+  }
+  EXPECT_EQ(sim.redirector_home(0), best);
 }
 
 TEST(HostingSimulationTest, RunProducesSaneReport) {

@@ -13,8 +13,7 @@
 #include "driver/report_json.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
-#include "net/path_latency.h"
-#include "net/routing.h"
+#include "net/net_model.h"
 #include "net/topology.h"
 #include "net/uunet.h"
 #include "sim/simulator.h"
@@ -247,22 +246,19 @@ TEST(FaultDriverTest, LinkDownRecomputesLatencyMatrix) {
   driver::HostingSimulation sim(config, RingTopology());
   sim.StepUntil(SecondsToSim(20.0));
 
-  // The in-force matrix must match one computed from scratch on the
+  // The in-force model must match one built from scratch on the
   // degraded graph (ring minus the 0-1 link).
   net::Graph degraded(4);
   const SimTime delay = SecondsToSim(0.01);
   degraded.AddLink(1, 2, delay, 45e6);
   degraded.AddLink(2, 3, delay, 45e6);
   degraded.AddLink(3, 0, delay, 45e6);
-  const net::RoutingTable fresh_routing(degraded);
-  const net::PathLatencyMatrix fresh(fresh_routing, degraded,
-                                     config.object_bytes);
+  const net::NetModel fresh(degraded, {0, 1, 2, 3}, config.object_bytes);
+  const net::NetModel& live = sim.net_model();
   for (NodeId a = 0; a < 4; ++a) {
     for (NodeId b = 0; b < 4; ++b) {
-      EXPECT_EQ(sim.latency().Control(a, b), fresh.Control(a, b))
-          << a << "->" << b;
-      EXPECT_EQ(sim.latency().Transfer(a, b), fresh.Transfer(a, b))
-          << a << "->" << b;
+      EXPECT_EQ(live.Control(a, b), fresh.Control(a, b)) << a << "->" << b;
+      EXPECT_EQ(live.Transfer(a, b), fresh.Transfer(a, b)) << a << "->" << b;
     }
   }
   ASSERT_NE(sim.fault_injector(), nullptr);

@@ -110,7 +110,26 @@ INSTANTIATE_TEST_SUITE_P(
                         "node a europe\nnode b europe\nnode c europe\n"
                         "link a b 10 350\n",
                         "not connected"},
-        BadTopologyCase{"garbage", "frobnicate\n", "unknown keyword"}),
+        BadTopologyCase{"garbage", "frobnicate\n", "unknown keyword"},
+        // Link values the latency arithmetic cannot hold: a delay whose
+        // conversion to SimTime overflows, and a bandwidth whose
+        // serialization time is infinite.
+        BadTopologyCase{"huge_delay",
+                        "node a europe\nnode b europe\nlink a b 1e300 45000\n",
+                        "line 3: delay"},
+        BadTopologyCase{"tiny_bandwidth",
+                        "node a europe\nnode b europe\nlink a b 10 1e-300\n",
+                        "line 3: bandwidth"},
+        BadTopologyCase{"node_trailing_tokens",
+                        "node a west-na gateway junk\n", "line 1: trailing"},
+        BadTopologyCase{
+            "link_trailing_tokens",
+            "node a europe\nnode b europe\nlink a b 10 45000 junk\n",
+            "line 3: trailing"},
+        BadTopologyCase{"no_gateway",
+                        "node a europe transit\nnode b europe transit\n"
+                        "link a b 10 350\n",
+                        "no gateway"}),
     [](const ::testing::TestParamInfo<BadTopologyCase>& param_info) {
       return param_info.param.name;
     });

@@ -1,9 +1,11 @@
-// Unit tests for radar::net::RoutingTable: shortest paths, deterministic
-// tie-breaking, centrality.
+// Unit tests for canonical routing as net::NetModel serves it with every
+// node rowed: shortest paths, deterministic tie-breaking, centrality.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/graph.h"
-#include "net/routing.h"
+#include "net/net_model.h"
 #include "net/uunet.h"
 
 namespace radar::net {
@@ -11,6 +13,7 @@ namespace {
 
 constexpr SimTime kDelay = MillisToSim(10.0);
 constexpr double kBw = 350.0 * 1024.0;
+constexpr std::int64_t kObjectBytes = 12 * 1024;
 
 Graph LineGraph(std::int32_t n) {
   Graph g(n);
@@ -18,19 +21,34 @@ Graph LineGraph(std::int32_t n) {
   return g;
 }
 
+/// The model below the row limit: every node a rowed source.
+NetModel AllRowed(const Graph& g) {
+  std::vector<NodeId> rows(static_cast<std::size_t>(g.num_nodes()));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    rows[static_cast<std::size_t>(v)] = v;
+  }
+  return NetModel(g, rows, kObjectBytes);
+}
+
+std::vector<NodeId> Path(const NetModel& net, NodeId a, NodeId b) {
+  std::vector<NodeId> path;
+  net.AppendPath(a, b, &path);
+  return path;
+}
+
 TEST(RoutingTest, LineDistances) {
   const Graph g = LineGraph(5);
-  const RoutingTable rt(g);
-  EXPECT_EQ(rt.HopDistance(0, 4), 4);
-  EXPECT_EQ(rt.HopDistance(4, 0), 4);
-  EXPECT_EQ(rt.HopDistance(2, 2), 0);
-  EXPECT_EQ(rt.HopDistance(1, 3), 2);
+  const NetModel net = AllRowed(g);
+  EXPECT_EQ(net.HopDistance(0, 4), 4);
+  EXPECT_EQ(net.HopDistance(4, 0), 4);
+  EXPECT_EQ(net.HopDistance(2, 2), 0);
+  EXPECT_EQ(net.HopDistance(1, 3), 2);
 }
 
 TEST(RoutingTest, PathEndpointsAndLength) {
   const Graph g = LineGraph(4);
-  const RoutingTable rt(g);
-  const auto& path = rt.Path(0, 3);
+  const NetModel net = AllRowed(g);
+  const auto path = Path(net, 0, 3);
   ASSERT_EQ(path.size(), 4u);
   EXPECT_EQ(path.front(), 0);
   EXPECT_EQ(path.back(), 3);
@@ -40,37 +58,28 @@ TEST(RoutingTest, PathEndpointsAndLength) {
 
 TEST(RoutingTest, SelfPathIsSingleton) {
   const Graph g = LineGraph(3);
-  const RoutingTable rt(g);
-  const auto& path = rt.Path(1, 1);
+  const NetModel net = AllRowed(g);
+  const auto path = Path(net, 1, 1);
   ASSERT_EQ(path.size(), 1u);
   EXPECT_EQ(path[0], 1);
-  EXPECT_EQ(rt.NextHop(1, 1), 1);
-}
-
-TEST(RoutingTest, NextHopOnLine) {
-  const Graph g = LineGraph(4);
-  const RoutingTable rt(g);
-  EXPECT_EQ(rt.NextHop(0, 3), 1);
-  EXPECT_EQ(rt.NextHop(3, 0), 2);
-  EXPECT_EQ(rt.NextHop(0, 1), 1);
 }
 
 TEST(RoutingTest, EqualCostTieBreakIsDeterministic) {
   // Diamond: 0-1, 0-2, 1-3, 2-3: two equal 2-hop paths from 0 to 3. The
-  // hashed tie-break must pick exactly one of them, stably across table
+  // hashed tie-break must pick exactly one of them, stably across model
   // rebuilds ("one path is chosen for all requests from i to j").
   Graph g(4);
   g.AddLink(0, 1, kDelay, kBw);
   g.AddLink(0, 2, kDelay, kBw);
   g.AddLink(1, 3, kDelay, kBw);
   g.AddLink(2, 3, kDelay, kBw);
-  const RoutingTable a(g);
-  const RoutingTable b(g);
-  const auto& path = a.Path(0, 3);
+  const NetModel a = AllRowed(g);
+  const NetModel b = AllRowed(g);
+  const auto path = Path(a, 0, 3);
   ASSERT_EQ(path.size(), 3u);
   EXPECT_TRUE(path[1] == 1 || path[1] == 2);
-  EXPECT_EQ(path, b.Path(0, 3));
-  EXPECT_EQ(a.Path(3, 0), b.Path(3, 0));
+  EXPECT_EQ(path, Path(b, 0, 3));
+  EXPECT_EQ(Path(a, 3, 0), Path(b, 3, 0));
 }
 
 TEST(RoutingTest, EqualCostMultipathSpreadsAcrossAlternatives) {
@@ -83,13 +92,13 @@ TEST(RoutingTest, EqualCostMultipathSpreadsAcrossAlternatives) {
     g.AddLink(0, leaf, kDelay, kBw);
     g.AddLink(1, leaf, kDelay, kBw);
   }
-  const RoutingTable rt(g);
+  const NetModel net = AllRowed(g);
   int via_hub0 = 0;
   int via_hub1 = 0;
   for (NodeId a = 2; a < 12; ++a) {
     for (NodeId b = 2; b < 12; ++b) {
       if (a == b) continue;
-      const auto& path = rt.Path(a, b);
+      const auto path = Path(net, a, b);
       ASSERT_EQ(path.size(), 3u);
       if (path[1] == 0) ++via_hub0;
       if (path[1] == 1) ++via_hub1;
@@ -100,57 +109,24 @@ TEST(RoutingTest, EqualCostMultipathSpreadsAcrossAlternatives) {
 }
 
 TEST(RoutingTest, SamePairAlwaysSamePath) {
-  // "one path is chosen for all requests from i to j" — table rebuild on
-  // the identical graph yields identical paths.
+  // "one path is chosen for all requests from i to j" — a model rebuilt
+  // on the identical graph yields identical paths.
   const Graph g = MakeUunetBackbone().graph();
-  const RoutingTable a(g);
-  const RoutingTable b(g);
+  const NetModel a = AllRowed(g);
+  const NetModel b = AllRowed(g);
   for (NodeId i = 0; i < g.num_nodes(); i += 7) {
     for (NodeId j = 0; j < g.num_nodes(); j += 5) {
-      EXPECT_EQ(a.Path(i, j), b.Path(i, j));
+      EXPECT_EQ(Path(a, i, j), Path(b, i, j));
     }
   }
-}
-
-TEST(RoutingTest, DelayMetricDiffersFromHops) {
-  // 0-1-2 with fast links vs direct slow 0-2 link: hops prefers direct,
-  // delay prefers the two-hop route.
-  Graph g(3);
-  g.AddLink(0, 1, MillisToSim(1.0), kBw);
-  g.AddLink(1, 2, MillisToSim(1.0), kBw);
-  g.AddLink(0, 2, MillisToSim(50.0), kBw);
-  const RoutingTable hops(g, RoutingMetric::kHops);
-  const RoutingTable delay(g, RoutingMetric::kDelay);
-  EXPECT_EQ(hops.Path(0, 2).size(), 2u);
-  EXPECT_EQ(delay.Path(0, 2).size(), 3u);
-  EXPECT_EQ(delay.Cost(0, 2), MillisToSim(2.0));
-}
-
-TEST(RoutingTest, CostEqualsHopsUnderHopMetric) {
-  const Graph g = LineGraph(6);
-  const RoutingTable rt(g);
-  for (NodeId i = 0; i < 6; ++i) {
-    for (NodeId j = 0; j < 6; ++j) {
-      EXPECT_EQ(rt.Cost(i, j), rt.HopDistance(i, j));
-    }
-  }
-}
-
-TEST(RoutingTest, MeanHopDistanceOnLine) {
-  const Graph g = LineGraph(3);
-  const RoutingTable rt(g);
-  // Node 1 (middle): distances 1,1 -> mean 1. Ends: 1,2 -> mean 1.5.
-  EXPECT_DOUBLE_EQ(rt.MeanHopDistance(1), 1.0);
-  EXPECT_DOUBLE_EQ(rt.MeanHopDistance(0), 1.5);
-  EXPECT_EQ(rt.MostCentralNode(), 1);
 }
 
 TEST(RoutingTest, CentralityOrdering) {
   const Graph g = LineGraph(5);
-  const RoutingTable rt(g);
-  const auto order = rt.NodesByCentrality();
+  const NetModel net = AllRowed(g);
+  const auto order = net.NodesByCentrality();
   ASSERT_EQ(order.size(), 5u);
-  EXPECT_EQ(order[0], 2);  // middle of the line
+  EXPECT_EQ(order[0], 2);  // middle of the line: the most central node
   // Ends are least central.
   EXPECT_TRUE(order[3] == 0 || order[3] == 4);
   EXPECT_TRUE(order[4] == 0 || order[4] == 4);
@@ -161,10 +137,10 @@ TEST(RoutingTest, TriangleSymmetricPaths) {
   g.AddLink(0, 1, kDelay, kBw);
   g.AddLink(1, 2, kDelay, kBw);
   g.AddLink(0, 2, kDelay, kBw);
-  const RoutingTable rt(g);
+  const NetModel net = AllRowed(g);
   for (NodeId i = 0; i < 3; ++i) {
     for (NodeId j = 0; j < 3; ++j) {
-      EXPECT_EQ(rt.HopDistance(i, j), i == j ? 0 : 1);
+      EXPECT_EQ(net.HopDistance(i, j), i == j ? 0 : 1);
     }
   }
 }
@@ -173,12 +149,12 @@ TEST(RoutingTest, PathsAreShortest) {
   // Property: on the backbone, every canonical path length equals the hop
   // distance and consecutive path nodes are adjacent.
   const Graph g = MakeUunetBackbone().graph();
-  const RoutingTable rt(g);
+  const NetModel net = AllRowed(g);
   for (NodeId i = 0; i < g.num_nodes(); i += 3) {
     for (NodeId j = 0; j < g.num_nodes(); j += 3) {
-      const auto& path = rt.Path(i, j);
+      const auto path = Path(net, i, j);
       EXPECT_EQ(static_cast<std::int32_t>(path.size()) - 1,
-                rt.HopDistance(i, j));
+                net.HopDistance(i, j));
       for (std::size_t k = 1; k < path.size(); ++k) {
         EXPECT_TRUE(g.HasLink(path[k - 1], path[k]));
       }
@@ -188,12 +164,12 @@ TEST(RoutingTest, PathsAreShortest) {
 
 TEST(RoutingTest, TriangleInequalityHolds) {
   const Graph g = MakeUunetBackbone().graph();
-  const RoutingTable rt(g);
+  const NetModel net = AllRowed(g);
   for (NodeId i = 0; i < g.num_nodes(); i += 5) {
     for (NodeId j = 0; j < g.num_nodes(); j += 5) {
       for (NodeId k = 0; k < g.num_nodes(); k += 5) {
-        EXPECT_LE(rt.HopDistance(i, j),
-                  rt.HopDistance(i, k) + rt.HopDistance(k, j));
+        EXPECT_LE(net.HopDistance(i, j),
+                  net.HopDistance(i, k) + net.HopDistance(k, j));
       }
     }
   }
@@ -202,7 +178,7 @@ TEST(RoutingTest, TriangleInequalityHolds) {
 TEST(RoutingDeathTest, DisconnectedGraphAborts) {
   Graph g(3);
   g.AddLink(0, 1, kDelay, kBw);
-  EXPECT_DEATH(RoutingTable rt(g), "connected");
+  EXPECT_DEATH(AllRowed(g), "connected");
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "net/link_stats.h"
-#include "net/routing.h"
+#include "net/net_model.h"
 #include "net/topology.h"
 #include "net/uunet.h"
 
@@ -109,11 +109,11 @@ TEST(UunetTest, AllNodesAreGateways) {
 TEST(UunetTest, ConnectedWithModerateDiameter) {
   const Topology t = MakeUunetBackbone();
   EXPECT_TRUE(t.graph().IsConnected());
-  const RoutingTable rt(t.graph());
+  const NetModel net(t, /*object_bytes=*/0);
   std::int32_t diameter = 0;
   for (NodeId i = 0; i < t.num_nodes(); ++i) {
     for (NodeId j = 0; j < t.num_nodes(); ++j) {
-      diameter = std::max(diameter, rt.HopDistance(i, j));
+      diameter = std::max(diameter, net.HopDistance(i, j));
     }
   }
   // A backbone is a few hops across, not a long chain.
@@ -126,7 +126,7 @@ TEST(UunetTest, IntraRegionCloserThanInterRegion) {
   // one region must on average be closer to each other than to nodes of
   // other regions.
   const Topology t = MakeUunetBackbone();
-  const RoutingTable rt(t.graph());
+  const NetModel net(t, /*object_bytes=*/0);
   double intra = 0.0;
   double inter = 0.0;
   std::int64_t intra_n = 0;
@@ -134,10 +134,10 @@ TEST(UunetTest, IntraRegionCloserThanInterRegion) {
   for (NodeId i = 0; i < t.num_nodes(); ++i) {
     for (NodeId j = i + 1; j < t.num_nodes(); ++j) {
       if (t.RegionOf(i) == t.RegionOf(j)) {
-        intra += rt.HopDistance(i, j);
+        intra += net.HopDistance(i, j);
         ++intra_n;
       } else {
-        inter += rt.HopDistance(i, j);
+        inter += net.HopDistance(i, j);
         ++inter_n;
       }
     }

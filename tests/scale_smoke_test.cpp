@@ -1,14 +1,16 @@
-// Scale smoke: a 10k-node generated topology must construct a sparse
-// NetModel without dense n^2 state. The dense backend's two latency
-// matrices alone are ~1.6 GB at this size, so the peak-RSS assertion is
-// the regression tripwire for anything quadratic sneaking back into the
-// sparse path. The RSS bound is skipped under sanitizers (shadow memory
-// and quarantines inflate ru_maxrss far past the real footprint).
+// Scale smoke: a 10k-node generated topology must construct a NetModel
+// that rows only its gateways and redirector home, without n^2 state.
+// Rowing every node would take ~2.4 GB at this size, so the peak-RSS
+// assertion is the regression tripwire for anything quadratic sneaking
+// back in. The RSS bound is skipped under sanitizers (shadow memory and
+// quarantines inflate ru_maxrss far past the real footprint).
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
 
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "net/net_model.h"
 #include "net/topology_gen.h"
@@ -36,20 +38,29 @@ std::int64_t PeakRssBytes() {
 }
 #endif
 
-TEST(ScaleSmokeTest, TenThousandNodeSparseModelStaysSmall) {
-  const TopologySpec spec = ParseTopologySpec("ts:n=10000,seed=7");
-  const Topology topo = GenerateTopology(spec);
+TEST(ScaleSmokeTest, TenThousandNodeModelRowsGatewaysAndHome) {
+  const std::optional<TopologySpec> spec =
+      ParseTopologySpec("ts:n=10000,seed=7", nullptr);
+  ASSERT_TRUE(spec.has_value());
+  const Topology topo = GenerateTopology(*spec);
   ASSERT_EQ(topo.num_nodes(), 10000);
   ASSERT_TRUE(topo.graph().IsConnected());
   const std::vector<NodeId> gateways = topo.GatewayNodes();
-  ASSERT_EQ(gateways.size(), static_cast<std::size_t>(spec.ExpectedGateways()));
+  ASSERT_EQ(gateways.size(),
+            static_cast<std::size_t>(spec->ExpectedGateways()));
 
-  // kAuto must pick the sparse backend at this size.
-  ASSERT_EQ(ResolveOracleKind(OracleKind::kAuto, topo.num_nodes()),
-            OracleKind::kSparse);
-  const NetModel net(topo, kObjectBytes, OracleKind::kAuto);
-  ASSERT_TRUE(net.sparse());
+  // The driver's setup: rows for the gateways, plus the redirector home
+  // (the most central node), which on this graph is a transit router.
+  NetModel net(topo, kObjectBytes);
   EXPECT_EQ(net.num_nodes(), 10000);
+  ASSERT_EQ(net.num_rows(), gateways.size());
+  const NodeId home = net.NodesByCentrality().front();
+  ASSERT_FALSE(topo.IsGateway(home));
+  net.AddRowSources({home});
+  ASSERT_EQ(net.num_rows(), gateways.size() + 1);
+  for (NodeId v = 0; v < topo.num_nodes(); ++v) {
+    ASSERT_EQ(net.HasRow(v), topo.IsGateway(v) || v == home) << v;
+  }
 
   // Spot-check oracle sanity: gateway rows exist and answer plausibly.
   const NodeId g0 = gateways.front();
@@ -65,8 +76,8 @@ TEST(ScaleSmokeTest, TenThousandNodeSparseModelStaysSmall) {
   EXPECT_EQ(net.HopDistance(g0, g1), net.HopDistance(g1, g0));
 
 #if !defined(RADAR_UNDER_SANITIZER)
-  // Generator + sparse model must stay far below the ~1.6 GB a dense
-  // matrix pair would need (measured footprint is tens of MB).
+  // Generator + model must stay far below the ~2.4 GB every-node rows
+  // would need (measured footprint is tens of MB).
   constexpr std::int64_t kRssBudgetBytes = 768ll * 1024 * 1024;
   EXPECT_LT(PeakRssBytes(), kRssBudgetBytes);
 #endif

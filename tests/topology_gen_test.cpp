@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "net/topology_gen.h"
@@ -34,6 +36,14 @@ void ExpectIdentical(const Topology& a, const Topology& b) {
   }
 }
 
+/// Parses a spec the test expects to be valid.
+TopologySpec MustParse(const std::string& text) {
+  std::string error;
+  const std::optional<TopologySpec> spec = ParseTopologySpec(text, &error);
+  EXPECT_TRUE(spec.has_value()) << text << ": " << error;
+  return spec.value_or(TopologySpec{});
+}
+
 TEST(TopologySpecTest, RecognizesGeneratorPrefixes) {
   EXPECT_TRUE(IsTopologySpec("ts:n=100,seed=1"));
   EXPECT_TRUE(IsTopologySpec("sf:n=100,m=2"));
@@ -44,7 +54,7 @@ TEST(TopologySpecTest, RecognizesGeneratorPrefixes) {
 
 TEST(TopologySpecTest, ParsesTransitStubFields) {
   const TopologySpec spec =
-      ParseTopologySpec("ts:domains=2,transit=3,stubs=4,stub=5,seed=9");
+      MustParse("ts:domains=2,transit=3,stubs=4,stub=5,seed=9");
   EXPECT_EQ(spec.family, TopologySpec::Family::kTransitStub);
   EXPECT_EQ(spec.seed, 9u);
   EXPECT_EQ(spec.transit_domains, 2);
@@ -57,7 +67,7 @@ TEST(TopologySpecTest, ParsesTransitStubFields) {
 }
 
 TEST(TopologySpecTest, ParsesScaleFreeFields) {
-  const TopologySpec spec = ParseTopologySpec("sf:n=300,m=3,gw=17,seed=4");
+  const TopologySpec spec = MustParse("sf:n=300,m=3,gw=17,seed=4");
   EXPECT_EQ(spec.family, TopologySpec::Family::kScaleFree);
   EXPECT_EQ(spec.seed, 4u);
   EXPECT_EQ(spec.target_nodes, 300);
@@ -68,7 +78,7 @@ TEST(TopologySpecTest, ParsesScaleFreeFields) {
 
 TEST(TopologyGenTest, TransitStubMatchesSpecSizing) {
   const TopologySpec spec =
-      ParseTopologySpec("ts:domains=3,transit=2,stubs=3,stub=4,seed=11");
+      MustParse("ts:domains=3,transit=2,stubs=3,stub=4,seed=11");
   const Topology topo = GenerateTopology(spec);
   EXPECT_EQ(topo.num_nodes(), spec.ExpectedNodes());
   EXPECT_TRUE(topo.graph().IsConnected());
@@ -80,7 +90,7 @@ TEST(TopologyGenTest, TransitStubExactTargetNodes) {
   // "n=" pins the exact total; the generator derives the stub size.
   for (const std::int32_t n : {500, 1000, 2000}) {
     const TopologySpec spec =
-        ParseTopologySpec("ts:n=" + std::to_string(n) + ",seed=7");
+        MustParse("ts:n=" + std::to_string(n) + ",seed=7");
     ASSERT_EQ(spec.ExpectedNodes(), n);
     const Topology topo = GenerateTopology(spec);
     EXPECT_EQ(topo.num_nodes(), n) << "n=" << n;
@@ -103,7 +113,7 @@ TEST(TopologyGenTest, TransitStubCoversAllFourRegions) {
 }
 
 TEST(TopologyGenTest, ScaleFreeMatchesSpecSizing) {
-  const TopologySpec spec = ParseTopologySpec("sf:n=256,m=2,gw=16,seed=3");
+  const TopologySpec spec = MustParse("sf:n=256,m=2,gw=16,seed=3");
   const Topology topo = GenerateTopology(spec);
   EXPECT_EQ(topo.num_nodes(), 256);
   EXPECT_TRUE(topo.graph().IsConnected());
@@ -112,8 +122,8 @@ TEST(TopologyGenTest, ScaleFreeMatchesSpecSizing) {
 
 TEST(TopologyGenTest, ScaleFreeDefaultGatewayCount) {
   // gw=0 (unset) derives max(4, n/16).
-  EXPECT_EQ(ParseTopologySpec("sf:n=320,seed=1").ExpectedGateways(), 20);
-  EXPECT_EQ(ParseTopologySpec("sf:n=32,seed=1").ExpectedGateways(), 4);
+  EXPECT_EQ(MustParse("sf:n=320,seed=1").ExpectedGateways(), 20);
+  EXPECT_EQ(MustParse("sf:n=32,seed=1").ExpectedGateways(), 4);
 }
 
 TEST(TopologyGenTest, ScaleFreeRegionsAreContiguousIdBlocks) {
@@ -149,6 +159,17 @@ TEST(TopologyGenTest, SameSpecAndSeedIsBitIdentical) {
   }
 }
 
+TEST(TopologyGenTest, SmallestAcceptedSpecsGenerate) {
+  // The parser's structural checks sit exactly at what the generators
+  // can build: one node per stub domain, and n = m + 1 = 4 nodes.
+  const Topology ts = GenerateTopology(MustParse("ts:n=48,seed=3"));
+  EXPECT_EQ(ts.num_nodes(), 48);
+  EXPECT_TRUE(ts.graph().IsConnected());
+  const Topology sf = GenerateTopology(MustParse("sf:n=4,m=3,gw=4,seed=3"));
+  EXPECT_EQ(sf.num_nodes(), 4);
+  EXPECT_EQ(sf.GatewayNodes().size(), 4u);
+}
+
 TEST(TopologyGenTest, DifferentSeedsProduceDifferentWiring) {
   const Topology a = GenerateTopology("sf:n=200,m=2,gw=12,seed=1");
   const Topology b = GenerateTopology("sf:n=200,m=2,gw=12,seed=2");
@@ -159,6 +180,47 @@ TEST(TopologyGenTest, DifferentSeedsProduceDifferentWiring) {
   }
   EXPECT_TRUE(differs);
 }
+
+struct BadSpecCase {
+  const char* name;
+  const char* spec;
+  const char* expected_fragment;
+};
+
+class TopologySpecErrorTest : public ::testing::TestWithParam<BadSpecCase> {};
+
+TEST_P(TopologySpecErrorTest, ReportsError) {
+  std::string error;
+  const std::optional<TopologySpec> spec =
+      ParseTopologySpec(GetParam().spec, &error);
+  EXPECT_FALSE(spec.has_value());
+  EXPECT_NE(error.find(GetParam().expected_fragment), std::string::npos)
+      << "got: " << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Malformed, TopologySpecErrorTest,
+    ::testing::Values(
+        BadSpecCase{"unknown_key", "ts:n=100,bogus=1", "unknown key 'bogus'"},
+        BadSpecCase{"other_family_key", "sf:n=100,domains=2",
+                    "unknown key 'domains'"},
+        BadSpecCase{"exponent", "ts:n=1e3", "n must be an integer"},
+        BadSpecCase{"negative", "ts:n=-5", "n must be an integer"},
+        BadSpecCase{"wraps_32_bits", "ts:n=4294967297",
+                    "n must be an integer"},
+        BadSpecCase{"zero_nodes", "ts:n=0", "n must be at least 1"},
+        BadSpecCase{"repeated_key", "ts:n=100,n=200", "repeated key 'n'"},
+        BadSpecCase{"empty_item", "ts:n=100,", "malformed item"},
+        BadSpecCase{"no_value", "ts:n", "malformed item"},
+        BadSpecCase{"ts_too_small", "ts:n=3", "too small"},
+        BadSpecCase{"ts_too_large", "ts:n=20000000", "more than"},
+        BadSpecCase{"sf_m_not_below_n", "sf:n=10,m=20", "n > m"},
+        BadSpecCase{"sf_without_n", "sf:m=2", "requires n"},
+        BadSpecCase{"sf_too_few_gateways", "sf:n=100,gw=2", "gw must be"},
+        BadSpecCase{"no_prefix", "xx:n=100", "must start with"}),
+    [](const ::testing::TestParamInfo<BadSpecCase>& param_info) {
+      return param_info.param.name;
+    });
 
 }  // namespace
 }  // namespace radar::net

@@ -12,17 +12,10 @@
 //
 // Usage:
 //   perf_gate --baseline BENCH_perf.json --current BENCH_new.json
-//             [--threshold-pct 15] [--metric NAME]... [--alias CUR=BASE]...
+//             [--threshold-pct 15] [--metric NAME]...
 //
 // --metric is repeatable; passing it explicitly replaces the default
 // {requests_per_sec, events_per_sec} set.
-//
-// --alias CUR=BASE (repeatable) additionally gates the current report's
-// scale CUR against the baseline's scale BASE. This pins a variant scale
-// to a reference: --alias small-sparse=small requires the sparse latency
-// backend to stay within the threshold of the committed dense-small
-// figures, so an incremental-oracle change that taxes the hot path fails
-// the gate even while the sparse-vs-sparse trajectory looks flat.
 //
 // Every scale present in the baseline must be present in the current
 // report (a vanished scale is a gate failure, not a skip); extra scales in
@@ -102,7 +95,6 @@ int main(int argc, char** argv) {
   std::string baseline_path;
   std::string current_path;
   std::vector<std::string> metrics;
-  std::vector<std::pair<std::string, std::string>> aliases;  // cur -> base
   double threshold_pct = 15.0;
 
   for (int i = 1; i < argc; ++i) {
@@ -120,14 +112,6 @@ int main(int argc, char** argv) {
       current_path = next();
     } else if (std::strcmp(arg, "--metric") == 0) {
       metrics.emplace_back(next());
-    } else if (std::strcmp(arg, "--alias") == 0) {
-      const std::string value = next();
-      const auto eq = value.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == value.size()) {
-        std::fprintf(stderr, "perf_gate: --alias needs CUR=BASE\n");
-        return 2;
-      }
-      aliases.emplace_back(value.substr(0, eq), value.substr(eq + 1));
     } else if (std::strcmp(arg, "--threshold-pct") == 0) {
       threshold_pct = std::strtod(next(), nullptr);
     } else {
@@ -138,8 +122,7 @@ int main(int argc, char** argv) {
   if (baseline_path.empty() || current_path.empty()) {
     std::fprintf(stderr,
                  "usage: perf_gate --baseline PATH --current PATH "
-                 "[--threshold-pct N] [--metric NAME]... "
-                 "[--alias CUR=BASE]...\n");
+                 "[--threshold-pct N] [--metric NAME]...\n");
     return 2;
   }
   if (metrics.empty()) {
@@ -155,28 +138,6 @@ int main(int argc, char** argv) {
 
   int failures = 0;
   int compared = 0;
-  const auto gate_pair = [&](const JsonValue& base_scale,
-                             const JsonValue& cur_scale,
-                             const std::string& label) {
-    for (const std::string& metric : metrics) {
-      const double base = MetricOf(base_scale, metric, label, "baseline");
-      const double cur = MetricOf(cur_scale, metric, label, "current");
-      if (base <= 0.0) {
-        std::fprintf(stderr, "FAIL  %-8s baseline %s is not positive\n",
-                     label.c_str(), metric.c_str());
-        ++failures;
-        continue;
-      }
-      ++compared;
-      const double change_pct = (cur / base - 1.0) * 100.0;
-      const bool regressed = change_pct < -threshold_pct;
-      std::printf("%s  %-8s %-18s %14.0f -> %14.0f  (%+.1f%%)\n",
-                  regressed ? "FAIL" : "ok  ", label.c_str(), metric.c_str(),
-                  base, cur, change_pct);
-      if (regressed) ++failures;
-    }
-  };
-
   for (const JsonValue& base_scale : baseline.Find("scales")->array()) {
     const JsonValue* name_value = base_scale.Find("name");
     if (name_value == nullptr) continue;
@@ -188,21 +149,23 @@ int main(int argc, char** argv) {
       ++failures;
       continue;
     }
-    gate_pair(base_scale, *cur_scale, name);
-  }
-
-  for (const auto& [cur_name, base_name] : aliases) {
-    const JsonValue* base_scale = FindScale(baseline, base_name);
-    const JsonValue* cur_scale = FindScale(current, cur_name);
-    if (base_scale == nullptr || cur_scale == nullptr) {
-      std::fprintf(stderr,
-                   "FAIL  --alias %s=%s: %s report has no such scale\n",
-                   cur_name.c_str(), base_name.c_str(),
-                   base_scale == nullptr ? "baseline" : "current");
-      ++failures;
-      continue;
+    for (const std::string& metric : metrics) {
+      const double base = MetricOf(base_scale, metric, name, "baseline");
+      const double cur = MetricOf(*cur_scale, metric, name, "current");
+      if (base <= 0.0) {
+        std::fprintf(stderr, "FAIL  %-8s baseline %s is not positive\n",
+                     name.c_str(), metric.c_str());
+        ++failures;
+        continue;
+      }
+      ++compared;
+      const double change_pct = (cur / base - 1.0) * 100.0;
+      const bool regressed = change_pct < -threshold_pct;
+      std::printf("%s  %-8s %-18s %14.0f -> %14.0f  (%+.1f%%)\n",
+                  regressed ? "FAIL" : "ok  ", name.c_str(), metric.c_str(),
+                  base, cur, change_pct);
+      if (regressed) ++failures;
     }
-    gate_pair(*base_scale, *cur_scale, cur_name + "~" + base_name);
   }
 
   if (compared == 0 && failures == 0) {

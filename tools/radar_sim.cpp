@@ -42,9 +42,15 @@ int main(int argc, char** argv) {
   if (net::IsTopologySpec(options->topology_file)) {
     // A "ts:" / "sf:" generator spec (net/topology_gen.h): synthesize the
     // backbone instead of loading a file.
-    topology =
-        std::make_shared<net::Topology>(net::GenerateTopology(
-            options->topology_file));
+    std::string spec_error;
+    const auto spec =
+        net::ParseTopologySpec(options->topology_file, &spec_error);
+    if (!spec) {
+      std::cerr << "error: " << options->topology_file << ": " << spec_error
+                << "\n";
+      return 2;
+    }
+    topology = std::make_shared<net::Topology>(net::GenerateTopology(*spec));
   } else if (!options->topology_file.empty()) {
     std::ifstream in(options->topology_file);
     if (!in) {

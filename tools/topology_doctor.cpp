@@ -4,13 +4,15 @@
 //   topology_doctor my_backbone.txt          # or no argument: built-in
 //
 // Reports per-node degree, the transit-funnel analysis against the
-// migration threshold, diameter, and redirector placement.
+// migration threshold, diameter, and redirector placement — all over the
+// routes the simulator's network model (net/net_model.h) serves.
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 
 #include "core/params.h"
 #include "net/analysis.h"
+#include "net/net_model.h"
 #include "net/topology_io.h"
 #include "net/uunet.h"
 
@@ -33,7 +35,8 @@ int main(int argc, char** argv) {
     topology = *std::move(parsed);
   }
 
-  const net::RoutingTable routing(topology.graph());
+  // Only routes and hop counts are read, so the object size is moot.
+  const net::NetModel net(topology, /*object_bytes=*/0);
   const core::ProtocolParams params;
 
   std::cout << "topology: " << topology.num_nodes() << " nodes, "
@@ -42,15 +45,23 @@ int main(int argc, char** argv) {
   std::int32_t diameter = 0;
   for (NodeId i = 0; i < topology.num_nodes(); ++i) {
     for (NodeId j = 0; j < topology.num_nodes(); ++j) {
-      diameter = std::max(diameter, routing.HopDistance(i, j));
+      diameter = std::max(diameter, net.HopDistance(i, j));
     }
   }
   std::cout << "diameter: " << diameter << " hops\n";
-  const NodeId central = routing.MostCentralNode();
+  const NodeId central = net.NodesByCentrality().front();
+  std::int64_t total = 0;
+  for (NodeId j = 0; j < topology.num_nodes(); ++j) {
+    total += net.HopDistance(central, j);
+  }
+  const double mean =
+      topology.num_nodes() > 1
+          ? static_cast<double>(total) /
+                static_cast<double>(topology.num_nodes() - 1)
+          : 0.0;
   std::cout << "redirector placement (most central node): "
             << topology.node(central).name << " (mean distance "
-            << std::fixed << std::setprecision(2)
-            << routing.MeanHopDistance(central) << ")\n";
+            << std::fixed << std::setprecision(2) << mean << ")\n";
 
   std::size_t min_degree = topology.num_nodes() > 0
                                ? topology.graph().Neighbors(0).size()
@@ -61,7 +72,7 @@ int main(int argc, char** argv) {
   std::cout << "minimum degree: " << min_degree << "\n\n";
 
   const auto funnels =
-      net::FunnelsAbove(topology, routing, params.migr_ratio);
+      net::FunnelsAbove(topology, net, params.migr_ratio);
   if (funnels.empty()) {
     std::cout << "no transit funnels above MIGR_RATIO ("
               << params.migr_ratio << ") — migration churn unlikely.\n";
