@@ -2,13 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <ostream>
 
 #include "fault/fault_plan.h"
-#include "net/topology_gen.h"
-#include "net/topology_io.h"
-#include "net/uunet.h"
 
 namespace radar::bench {
 namespace {
@@ -17,22 +13,14 @@ namespace {
   std::fprintf(
       stderr,
       "usage: %s [--jobs N] [--json PATH] [--fault-plan FILE]"
-      " [--replica-floor K] [--topology SPEC|FILE]\n"
+      " [--replica-floor K]\n"
       "  --jobs N           worker threads (0 = hardware concurrency;\n"
       "                     default $RADAR_BENCH_JOBS, else 1)\n"
       "  --json PATH        write the sweep as a SweepJson document\n"
       "  --fault-plan FILE  inject faults (see fault/fault_plan.h)\n"
-      "  --replica-floor K  re-replicate objects below K live copies\n"
-      "  --topology S       backbone: a ts:/sf: generator spec or a\n"
-      "                     topology file (default $RADAR_BENCH_TOPOLOGY,\n"
-      "                     else the built-in UUNET backbone)\n",
+      "  --replica-floor K  re-replicate objects below K live copies\n",
       argv0);
   std::exit(code);
-}
-
-std::string EnvStrOr(const char* name, const char* fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' ? value : fallback;
 }
 
 }  // namespace
@@ -68,7 +56,6 @@ runner::ExperimentPlan PaperPlan(const std::string& name) {
 BenchOptions ParseBenchArgs(int argc, char** argv) {
   BenchOptions options;
   options.jobs = static_cast<int>(EnvOr("RADAR_BENCH_JOBS", 1.0));
-  options.topology = EnvStrOr("RADAR_BENCH_TOPOLOGY", "");
 
   const auto value_of = [&](int* i, const std::string& arg,
                             const std::string& flag) -> std::string {
@@ -119,49 +106,13 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
         UsageAndExit(argv[0], 2);
       }
       options.replica_floor = static_cast<int>(parsed);
-    } else if (arg == "--topology" || arg.rfind("--topology=", 0) == 0) {
-      options.topology = value_of(&i, arg, "--topology");
-      if (options.topology.empty()) {
-        std::fprintf(stderr, "%s: --topology needs a spec or file\n",
-                     argv[0]);
-        UsageAndExit(argv[0], 2);
-      }
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
                    arg.c_str());
       UsageAndExit(argv[0], 2);
     }
   }
-  if (net::IsTopologySpec(options.topology)) {
-    std::string error;
-    if (!net::ParseTopologySpec(options.topology, &error)) {
-      std::fprintf(stderr, "error: %s: %s\n", options.topology.c_str(),
-                   error.c_str());
-      std::exit(2);
-    }
-  }
   return options;
-}
-
-net::Topology MakeBenchTopology(const BenchOptions& options) {
-  if (options.topology.empty()) return net::MakeUunetBackbone();
-  if (net::IsTopologySpec(options.topology)) {
-    return net::GenerateTopology(options.topology);  // checked at parse
-  }
-  std::ifstream in(options.topology);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open topology file '%s'\n",
-                 options.topology.c_str());
-    std::exit(2);
-  }
-  std::string error;
-  auto parsed = net::ReadTopology(in, &error);
-  if (!parsed) {
-    std::fprintf(stderr, "error: %s: %s\n", options.topology.c_str(),
-                 error.c_str());
-    std::exit(2);
-  }
-  return *std::move(parsed);
 }
 
 void ApplyFaultOptions(const BenchOptions& options,

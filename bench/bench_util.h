@@ -18,9 +18,6 @@
 //   RADAR_BENCH_OBJECTS    objects in the system (default 10000)
 //   RADAR_BENCH_SEED       root RNG seed (default 1)
 //   RADAR_BENCH_JOBS       default worker-thread count
-//   RADAR_BENCH_TOPOLOGY   backbone override: a "ts:"/"sf:" generator
-//                          spec (net/topology_gen.h) or a topology file
-//                          (default: the built-in UUNET backbone)
 //
 // Results are bit-identical for any --jobs value: per-run seeds come from
 // the plan, and each simulation is self-contained.
@@ -55,22 +52,13 @@ struct BenchOptions {
   std::string json_path;  ///< empty = no JSON artefact
   std::string fault_plan_file;  ///< empty = perfect world
   int replica_floor = 0;        ///< 0 = no self-healing floor
-  /// Backbone override: a "ts:"/"sf:" generator spec or a topology file;
-  /// empty = the built-in UUNET backbone. See MakeBenchTopology.
-  std::string topology;
 };
 
-/// Parses --jobs/--json/--fault-plan/--replica-floor/--topology (either
+/// Parses --jobs/--json/--fault-plan/--replica-floor (either
 /// "--flag value" or "--flag=value") plus --help. jobs defaults to
-/// $RADAR_BENCH_JOBS, topology to $RADAR_BENCH_TOPOLOGY. Prints usage and
-/// exits(2) on a malformed command line, exits(0) on --help; a malformed
-/// generator spec prints "error: <spec>: <message>" and exits(2).
+/// $RADAR_BENCH_JOBS. Prints usage and exits(2) on a malformed command
+/// line, exits(0) on --help.
 BenchOptions ParseBenchArgs(int argc, char** argv);
-
-/// The backbone selected by options.topology: the UUNET default when
-/// empty, a generated topology for a "ts:"/"sf:" spec, or a file load
-/// (exits(2) on failure, matching radar_sim).
-net::Topology MakeBenchTopology(const BenchOptions& options);
 
 /// Loads options.fault_plan_file (when set) and copies the plan plus
 /// options.replica_floor into the config. Exits(2) on a parse failure so

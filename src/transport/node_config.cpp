@@ -1,6 +1,5 @@
 #include "transport/node_config.h"
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -21,14 +20,6 @@ bool ParseRole(const std::string& word, NodeRole* out) {
     return false;
   }
   return true;
-}
-
-/// Parses the whole token as a T; trailing characters fail.
-template <class T>
-bool ParseToken(const std::string& token, T* out) {
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
-  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace

@@ -21,10 +21,13 @@
 // makes a capture replayable without any state snapshot.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "common/types.h"
@@ -51,6 +54,16 @@ struct NodeEntry {
 
   friend bool operator==(const NodeEntry&, const NodeEntry&) = default;
 };
+
+/// Parses the whole token as a T with std::from_chars: an empty token,
+/// trailing characters, or a value that does not fit T fail. The config
+/// loader and the real-mode tools' numeric flags both parse through it.
+template <class T>
+bool ParseToken(std::string_view token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 class NodeConfig {
  public:

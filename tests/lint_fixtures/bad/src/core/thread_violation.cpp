@@ -1,6 +1,6 @@
 // Deliberately violating fixture for lint_test.cpp: thread creation
-// outside src/runner/. Never compiled; LintTree is pointed here by the
-// test to prove the thread-confinement rule rejects it.
+// outside src/runner/. Never compiled; AnalyzeTree is pointed here by
+// the test to prove the thread-confinement rule rejects it.
 #include <thread>
 
 void SpawnWorker() {

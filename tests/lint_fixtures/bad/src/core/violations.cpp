@@ -1,6 +1,6 @@
 // Deliberately violating fixture for lint_test.cpp. Never compiled, never
 // linted by the real radar_lint ctest case (which walks the repo's src/
-// only); LintTree is pointed here by the test to prove rejection.
+// only); AnalyzeTree is pointed here by the test to prove rejection.
 #include <cassert>
 #include <cstdlib>
 #include <iostream>

@@ -5,8 +5,7 @@ namespace radar::lint {
 using driver::JsonValue;
 
 JsonValue AnalysisJson(const Analysis& analysis,
-                       const std::vector<std::filesystem::path>& roots,
-                       const std::vector<GlobalWhitelistEntry>& whitelist) {
+                       const std::vector<std::filesystem::path>& roots) {
   JsonValue doc = JsonValue::MakeObject();
   doc.Set("schema", std::string(kAnalysisSchema));
 
@@ -54,7 +53,7 @@ JsonValue AnalysisJson(const Analysis& analysis,
   doc.Set("hot_regions", std::move(regions));
 
   JsonValue entries = JsonValue::MakeArray();
-  for (const GlobalWhitelistEntry& e : whitelist) {
+  for (const GlobalWhitelistEntry& e : DefaultGlobalWhitelist()) {
     bool hit = false;
     for (const MutableGlobal& g : analysis.mutable_globals) {
       if (g.whitelisted && g.name == e.name) {

@@ -26,10 +26,10 @@ inline constexpr std::string_view kAnalysisSchema = "radar.analysis/1";
 ///   schema, roots[], files_scanned, violation_count, violations[],
 ///   mutable_globals[] (name/file/line/race_safe/whitelisted/
 ///   function_local/reason), hot_regions[] (file/label/begin_line/
-///   end_line), whitelist[] (file_suffix/name/reason/hit).
+///   end_line), whitelist[] (DefaultGlobalWhitelist entries:
+///   file_suffix/name/reason/hit).
 driver::JsonValue AnalysisJson(
     const Analysis& analysis,
-    const std::vector<std::filesystem::path>& roots,
-    const std::vector<GlobalWhitelistEntry>& whitelist);
+    const std::vector<std::filesystem::path>& roots);
 
 }  // namespace radar::lint

@@ -13,8 +13,8 @@
 //     is one token carrying the line number of its first character. The
 //     phase-1/2 reversal inside raw strings is NOT implemented: a raw
 //     string containing a literal backslash-newline is still joined. That
-//     only perturbs the *text* of that string token — its source span, and
-//     therefore blanking and line numbers, stay exact.
+//     only perturbs the *text* of that string token — its source span and
+//     line number stay exact.
 //   - Raw strings (R"delim(...)delim", with encoding prefixes) are lexed
 //     with full delimiter tracking; escapes are meaningless inside them.
 //   - Ordinary string/char literals honour escape sequences, so '\'' and
@@ -30,7 +30,7 @@
 //     name ("include", "pragma", "define", ...). Passes skip `include`
 //     directives (a header *name* is not a use) but scan macro bodies.
 //   - Every token records its [begin, end) byte span in the ORIGINAL
-//     content, which is what makes exact blanking possible.
+//     content.
 //
 // The lexer never fails: malformed input (unterminated literal, stray
 // byte) degrades to a best-effort token ending at EOF.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 
 #include "lint/lexer.h"
@@ -41,12 +43,11 @@ bool AnyOf(std::string_view text,
 
 struct Ctx {
   const std::string& path;
-  const FileKind& kind;
-  const std::vector<GlobalWhitelistEntry>& whitelist;
   Analysis* out;
 
-  void Violate(int line, const char* rule, std::string message) const {
-    out->violations.push_back({path, line, rule, std::move(message)});
+  void Violate(int line, std::string_view rule, std::string message) const {
+    out->violations.push_back(
+        {path, line, std::string(rule), std::move(message)});
   }
 };
 
@@ -88,8 +89,10 @@ bool IsProtocolConstant(std::string_view norm) {
 // Header hygiene: #pragma once, `using namespace`
 // ---------------------------------------------------------------------
 
+bool IsHeader(std::string_view label) { return label.ends_with(".h"); }
+
 void PassHeaderHygiene(const Ctx& ctx, const Code& code) {
-  if (!ctx.kind.is_header) return;
+  if (!IsHeader(ctx.path)) return;
   bool has_pragma_once = false;
   for (std::size_t i = 0; i < code.size(); ++i) {
     if (code[i]->directive == "pragma" && IsIdent(code, i, "once")) {
@@ -104,162 +107,206 @@ void PassHeaderHygiene(const Ctx& ctx, const Code& code) {
 }
 
 // ---------------------------------------------------------------------
-// Banned constructs, confinement rules, protocol literals, wall clocks —
-// one linear scan; each check is a short token-sequence match.
+// Banned tokens. Every rule that bans a token somewhere in the tree is one
+// or more rows of kRules; PassBannedTokens keeps the rows whose scope
+// holds the file's path label, and one linear scan matches each token
+// against them. Rows are listed in check order: violations on one line
+// keep the order they were found in.
 // ---------------------------------------------------------------------
 
+enum class Shape : std::uint8_t {
+  kFreeCall,    ///< `name(`, not after `.` or `->`
+  kMemberCall,  ///< `.name(` or `->name(`
+  kIdentifier,  ///< `name` anywhere outside an #include
+  kStdName,     ///< `std::name`, reported at `std`
+  kPragma,      ///< `#pragma name`
+};
+
+struct Rule {
+  std::string_view id;
+  Shape shape;
+  std::initializer_list<std::string_view> tokens;
+  /// Label scopes the rule is confined to; empty means every file. A
+  /// scope ending in '/' is a directory prefix, one ending in "/*" is the
+  /// files directly in that directory, anything else is one file.
+  std::initializer_list<std::string_view> only;
+  std::initializer_list<std::string_view> exempt;
+  std::string_view message;
+};
+
+/// The runner times sweeps; the transport layer owns the real clock too
+/// (TcpTransport::Now is CLOCK_MONOTONIC; binlog records carry real
+/// timestamps).
+const std::initializer_list<std::string_view> kWallClockOwners = {
+    "src/runner/", "src/transport/", "src/binlog/"};
+
+const Rule kRules[] = {
+    {"banned-rand", Shape::kFreeCall, {"rand", "srand"}, {}, {},
+     "rand()/srand() is banned; use radar::Rng (common/rng.h) so runs stay "
+     "reproducible"},
+    {"banned-assert", Shape::kFreeCall, {"assert"}, {}, {},
+     "raw assert() is banned; use RADAR_CHECK (common/check.h), which is on "
+     "in every build type"},
+    // The CLI mains own the terminal; tools/lint/ is library code.
+    {"banned-iostream", Shape::kIdentifier, {"cout", "cerr"}, {}, {"tools/*"},
+     "std::cout/std::cerr is banned in library code; use RADAR_LOG "
+     "(common/log.h)"},
+    {"thread-confinement", Shape::kStdName,
+     {"thread", "jthread", "async", "future", "promise"}, {}, {"src/runner/"},
+     "thread creation and deferred-concurrency handles "
+     "(std::thread/jthread/async/future/promise) are confined to "
+     "src/runner/; run concurrent work through runner::ThreadPool so the "
+     "rest of the tree stays single-threaded"},
+    {"thread-confinement", Shape::kMemberCall, {"detach"}, {}, {"src/runner/"},
+     "thread creation/detach is confined to src/runner/; run concurrent work "
+     "through runner::ThreadPool so the rest of the tree stays "
+     "single-threaded"},
+    {"thread-confinement", Shape::kPragma, {"omp"}, {}, {"src/runner/"},
+     "#pragma omp spawns threads behind the experiment engine's back; "
+     "concurrency is confined to src/runner/"},
+    {"sim-no-std-function", Shape::kStdName, {"function"}, {"src/sim/"}, {},
+     "std::function heap-allocates per capture; simulation event code "
+     "schedules millions of closures per run and must use "
+     "sim::InplaceFunction (sim/inplace_function.h)"},
+    {"shard-confinement", Shape::kStdName,
+     {"mutex", "shared_mutex", "recursive_mutex", "timed_mutex",
+      "condition_variable", "condition_variable_any", "atomic", "atomic_flag",
+      "lock_guard", "unique_lock", "scoped_lock", "shared_lock", "call_once",
+      "once_flag"},
+     {"src/sim/"}, {},
+     "synchronization primitives are banned in src/sim/; a simulation's "
+     "state is owned by the one thread that runs it, and concurrency lives "
+     "in src/runner/ as whole runs on runner::ThreadPool (DESIGN.md section "
+     "14)"},
+    {"fault-confinement", Shape::kIdentifier,
+     {"mtbf", "mttr", "mtbf_s", "mttr_s", "drop_prob", "request_delay_prob"},
+     {}, {"src/fault/"},
+     "fault-model parameters (MTBF/MTTR, message drop/delay probabilities) "
+     "are confined to src/fault/; pass a fault::FaultPlan instead of "
+     "spelling rates elsewhere"},
+    {"net-rng-confinement", Shape::kIdentifier, {"Rng", "SplitMix64"},
+     {"src/net/"}, {"src/net/topology_gen.cpp"},
+     "random number generation in src/net/ is confined to "
+     "net/topology_gen.cpp; routing and latency oracles must be pure "
+     "functions of the graph so generated topologies replay bit-identically "
+     "from (spec, seed)"},
+    {"core-no-hash-maps", Shape::kStdName, {"unordered_map", "map"},
+     {"src/core/"}, {},
+     "node-based maps are banned in src/core/ (a cache miss per probe on the "
+     "request hot path); use radar::SlabMap (common/slab_map.h) for dense "
+     "ObjectId keys or a sorted inline vector for tiny replica sets"},
+    {"transport-confinement", Shape::kFreeCall,
+     {"socket",      "bind",         "listen",        "accept",
+      "accept4",     "connect",      "poll",          "ppoll",
+      "select",      "epoll_create", "epoll_create1", "epoll_ctl",
+      "epoll_wait",  "fcntl",        "setsockopt",    "getsockopt",
+      "send",        "recv",         "sendto",        "recvfrom",
+      "sendmsg",     "recvmsg",      "shutdown",      "getaddrinfo",
+      "fsync",       "ftruncate",    "ioctl"},
+     {}, {"src/transport/", "src/binlog/"},
+     "socket/poll/fcntl-family syscalls are confined to src/transport/ and "
+     "src/binlog/; everything else talks through the Transport seam "
+     "(transport/transport.h) so protocol brains stay shared between the "
+     "simulator and the daemons (DESIGN.md section 16)"},
+    {"nondet-wall-clock", Shape::kIdentifier,
+     {"system_clock", "steady_clock", "high_resolution_clock"}, {},
+     kWallClockOwners,
+     "wall-clock reads make paired runs diverge; take time from the "
+     "simulation clock (sim::Simulator::Now), or move timing code into "
+     "src/runner/ or bench/"},
+    {"nondet-wall-clock", Shape::kFreeCall,
+     {"time", "clock", "gettimeofday", "clock_gettime", "localtime", "gmtime",
+      "mktime"},
+     {}, kWallClockOwners,
+     "C wall-clock calls make paired runs diverge; take time from the "
+     "simulation clock, or move timing code into src/runner/ or bench/"},
+};
+
+/// Only this file may spell the protocol thresholds.
+constexpr std::string_view kProtocolParams = "src/core/params.h";
+
+bool InScope(std::string_view label, std::string_view scope) {
+  if (scope.ends_with("/*")) {
+    scope.remove_suffix(1);
+    return label.starts_with(scope) &&
+           label.find('/', scope.size()) == std::string_view::npos;
+  }
+  return scope.ends_with('/') ? label.starts_with(scope) : label == scope;
+}
+
+bool InAnyScope(std::string_view label,
+                std::initializer_list<std::string_view> scopes) {
+  for (const std::string_view scope : scopes) {
+    if (InScope(label, scope)) return true;
+  }
+  return false;
+}
+
+bool Matches(const Rule& rule, const Code& c, std::size_t i) {
+  const Token& t = *c[i];
+  switch (rule.shape) {
+    case Shape::kFreeCall:
+    case Shape::kMemberCall: {
+      if (!IsPunct(c, i + 1, "(") || !AnyOf(t.text, rule.tokens)) {
+        return false;
+      }
+      const bool member = (i >= 1 && IsPunct(c, i - 1, ".")) ||
+                          (i >= 2 && IsPunct(c, i - 1, ">") &&
+                           IsPunct(c, i - 2, "-"));
+      return member == (rule.shape == Shape::kMemberCall);
+    }
+    case Shape::kIdentifier:
+      return AnyOf(t.text, rule.tokens);
+    case Shape::kStdName:
+      return t.text == "std" && IsPunct(c, i + 1, "::") && i + 2 < c.size() &&
+             c[i + 2]->kind == TokKind::kIdentifier &&
+             AnyOf(c[i + 2]->text, rule.tokens);
+    case Shape::kPragma:
+      return t.directive == "pragma" && AnyOf(t.text, rule.tokens);
+  }
+  return false;
+}
+
 void PassBannedTokens(const Ctx& ctx, const Code& code) {
-  const FileKind& kind = ctx.kind;
+  std::vector<const Rule*> rules;
+  for (const Rule& rule : kRules) {
+    if ((rule.only.size() == 0 || InAnyScope(ctx.path, rule.only)) &&
+        !InAnyScope(ctx.path, rule.exempt)) {
+      rules.push_back(&rule);
+    }
+  }
+  const bool is_header = IsHeader(ctx.path);
+  const bool params_file = InScope(ctx.path, kProtocolParams);
   for (std::size_t i = 0; i < code.size(); ++i) {
     const Token& t = *code[i];
     if (t.directive == "include") continue;  // a header name is not a use
     const int line = t.line;
 
     if (t.kind == TokKind::kIdentifier) {
-      const bool call = IsPunct(code, i + 1, "(");
-      if (call && (t.text == "rand" || t.text == "srand")) {
-        ctx.Violate(line, "banned-rand",
-                    "rand()/srand() is banned; use radar::Rng "
-                    "(common/rng.h) so runs stay reproducible");
+      for (const Rule* rule : rules) {
+        if (Matches(*rule, code, i)) {
+          ctx.Violate(line, rule->id, std::string(rule->message));
+        }
       }
-      if (call && t.text == "assert") {
-        ctx.Violate(line, "banned-assert",
-                    "raw assert() is banned; use RADAR_CHECK "
-                    "(common/check.h), which is on in every build type");
-      }
-      if (!kind.allow_cli_output &&
-          (t.text == "cout" || t.text == "cerr")) {
-        ctx.Violate(line, "banned-iostream",
-                    "std::cout/std::cerr is banned in library code; use "
-                    "RADAR_LOG (common/log.h)");
-      }
-      if (kind.is_header && t.text == "using" &&
+      if (is_header && t.text == "using" &&
           IsIdent(code, i + 1, "namespace")) {
         ctx.Violate(line, "using-namespace-in-header",
                     "`using namespace` in a header leaks into every "
                     "includer; qualify names instead");
       }
-      if (!kind.allow_threads) {
-        if (t.text == "std" &&
-            (SeqStd(code, i, "thread") || SeqStd(code, i, "jthread") ||
-             SeqStd(code, i, "async") || SeqStd(code, i, "future") ||
-             SeqStd(code, i, "promise"))) {
-          ctx.Violate(line, "thread-confinement",
-                      "thread creation and deferred-concurrency handles "
-                      "(std::thread/jthread/async/future/promise) are "
-                      "confined to src/runner/; run concurrent work through "
-                      "runner::ThreadPool so the rest of the tree stays "
-                      "single-threaded");
-        }
-        if (call && t.text == "detach") {
-          ctx.Violate(line, "thread-confinement",
-                      "thread creation/detach is confined to src/runner/; "
-                      "run concurrent work through runner::ThreadPool so "
-                      "the rest of the tree stays single-threaded");
-        }
-        if (t.directive == "pragma" && t.text == "omp") {
-          ctx.Violate(line, "thread-confinement",
-                      "#pragma omp spawns threads behind the experiment "
-                      "engine's back; concurrency is confined to "
-                      "src/runner/");
-        }
+    } else if (t.kind == TokKind::kNumber && !params_file) {
+      const std::string norm = NormalizeNumber(t.text);
+      bool hit = IsProtocolConstant(norm);
+      if (!hit && IsIntegerValued(norm, '1') && IsPunct(code, i + 1, "/") &&
+          i + 2 < code.size() && code[i + 2]->kind == TokKind::kNumber &&
+          IsIntegerValued(NormalizeNumber(code[i + 2]->text), '6')) {
+        hit = true;
       }
-      if (kind.forbid_std_function && t.text == "std" &&
-          SeqStd(code, i, "function")) {
-        ctx.Violate(line, "sim-no-std-function",
-                    "std::function heap-allocates per capture; simulation "
-                    "event code schedules millions of closures per run and "
-                    "must use sim::InplaceFunction (sim/inplace_function.h)");
-      }
-      if (kind.forbid_std_function && t.text == "std" &&
-          (SeqStd(code, i, "mutex") || SeqStd(code, i, "shared_mutex") ||
-           SeqStd(code, i, "recursive_mutex") ||
-           SeqStd(code, i, "timed_mutex") ||
-           SeqStd(code, i, "condition_variable") ||
-           SeqStd(code, i, "condition_variable_any") ||
-           SeqStd(code, i, "atomic") || SeqStd(code, i, "atomic_flag") ||
-           SeqStd(code, i, "lock_guard") || SeqStd(code, i, "unique_lock") ||
-           SeqStd(code, i, "scoped_lock") || SeqStd(code, i, "shared_lock") ||
-           SeqStd(code, i, "call_once") || SeqStd(code, i, "once_flag"))) {
-        ctx.Violate(line, "shard-confinement",
-                    "synchronization primitives are banned in src/sim/; a "
-                    "simulation's state is owned by the one thread that "
-                    "runs it, and concurrency lives in src/runner/ as whole "
-                    "runs on runner::ThreadPool (DESIGN.md section 14)");
-      }
-      if (!kind.allow_fault_injection &&
-          AnyOf(t.text, {"mtbf", "mttr", "mtbf_s", "mttr_s", "drop_prob",
-                         "request_delay_prob"})) {
-        ctx.Violate(line, "fault-confinement",
-                    "fault-model parameters (MTBF/MTTR, message "
-                    "drop/delay probabilities) are confined to src/fault/; "
-                    "pass a fault::FaultPlan instead of spelling rates "
-                    "elsewhere");
-      }
-      if (kind.forbid_net_rng &&
-          (t.text == "Rng" || t.text == "SplitMix64")) {
-        ctx.Violate(line, "net-rng-confinement",
-                    "random number generation in src/net/ is confined to "
-                    "net/topology_gen.cpp; routing and latency oracles must "
-                    "be pure functions of the graph so generated topologies "
-                    "replay bit-identically from (spec, seed)");
-      }
-      if (kind.forbid_hash_maps && t.text == "std" &&
-          (SeqStd(code, i, "unordered_map") || SeqStd(code, i, "map"))) {
-        ctx.Violate(line, "core-no-hash-maps",
-                    "node-based maps are banned in src/core/ (a cache miss "
-                    "per probe on the request hot path); use radar::SlabMap "
-                    "(common/slab_map.h) for dense ObjectId keys or a "
-                    "sorted inline vector for tiny replica sets");
-      }
-      if (!kind.allow_transport_syscalls && call &&
-          AnyOf(t.text,
-                {"socket",      "bind",          "listen",     "accept",
-                 "accept4",     "connect",       "poll",       "ppoll",
-                 "select",      "epoll_create",  "epoll_create1",
-                 "epoll_ctl",   "epoll_wait",    "fcntl",      "setsockopt",
-                 "getsockopt",  "send",          "recv",       "sendto",
-                 "recvfrom",    "sendmsg",       "recvmsg",    "shutdown",
-                 "getaddrinfo", "fsync",         "ftruncate",  "ioctl"})) {
-        ctx.Violate(line, "transport-confinement",
-                    "socket/poll/fcntl-family syscalls are confined to "
-                    "src/transport/ and src/binlog/; everything else talks "
-                    "through the Transport seam (transport/transport.h) so "
-                    "protocol brains stay shared between the simulator and "
-                    "the daemons (DESIGN.md section 16)");
-      }
-      if (!kind.allow_wall_clock) {
-        if (AnyOf(t.text,
-                  {"system_clock", "steady_clock", "high_resolution_clock"})) {
-          ctx.Violate(line, "nondet-wall-clock",
-                      "wall-clock reads make paired runs diverge; take time "
-                      "from the simulation clock (sim::Simulator::Now), or "
-                      "move timing code into src/runner/ or bench/");
-        }
-        if (call && AnyOf(t.text, {"time", "clock", "gettimeofday",
-                                   "clock_gettime", "localtime", "gmtime",
-                                   "mktime"})) {
-          ctx.Violate(line, "nondet-wall-clock",
-                      "C wall-clock calls make paired runs diverge; take "
-                      "time from the simulation clock, or move timing code "
-                      "into src/runner/ or bench/");
-        }
-      }
-    } else if (t.kind == TokKind::kNumber) {
-      if (!kind.allow_protocol_literals) {
-        const std::string norm = NormalizeNumber(t.text);
-        bool hit = IsProtocolConstant(norm);
-        if (!hit && IsIntegerValued(norm, '1') && IsPunct(code, i + 1, "/") &&
-            i + 2 < code.size() && code[i + 2]->kind == TokKind::kNumber &&
-            IsIntegerValued(NormalizeNumber(code[i + 2]->text), '6')) {
-          hit = true;
-        }
-        if (hit) {
-          ctx.Violate(line, "protocol-literal",
-                      "hard-coded protocol threshold (0.6 / 1/6 / 6u / "
-                      "0.03 / 0.18); take it from core::ProtocolParams "
-                      "(core/params.h) instead");
-        }
+      if (hit) {
+        ctx.Violate(line, "protocol-literal",
+                    "hard-coded protocol threshold (0.6 / 1/6 / 6u / "
+                    "0.03 / 0.18); take it from core::ProtocolParams "
+                    "(core/params.h) instead");
       }
     }
   }
@@ -652,7 +699,7 @@ class GlobalsPass {
   void Record(const std::string& name, int line, bool race_safe,
               bool function_local) {
     const GlobalWhitelistEntry* entry = nullptr;
-    for (const GlobalWhitelistEntry& e : ctx_.whitelist) {
+    for (const GlobalWhitelistEntry& e : DefaultGlobalWhitelist()) {
       if (e.name != name) continue;
       if (ctx_.path.size() >= e.file_suffix.size() &&
           ctx_.path.compare(ctx_.path.size() - e.file_suffix.size(),
@@ -826,35 +873,7 @@ const std::vector<GlobalWhitelistEntry>& DefaultGlobalWhitelist() {
   return kWhitelist;
 }
 
-std::string StripCommentsAndStrings(std::string_view content) {
-  std::string out(content);
-  for (const Token& t : Lex(content)) {
-    if (t.kind != TokKind::kComment && t.kind != TokKind::kString &&
-        t.kind != TokKind::kChar) {
-      continue;
-    }
-    // Plain string/char literals keep their delimiters (the historical
-    // contract); raw strings and comments are blanked whole — their
-    // delimiters (`R"(`, `//`, `*/`) would read as code fragments.
-    std::size_t begin = t.begin;
-    std::size_t end = t.end;
-    const std::size_t quote = t.text.find_first_of("\"'");
-    const bool raw = quote != std::string::npos && quote > 0 &&
-                     t.text[quote - 1] == 'R';
-    if (t.kind != TokKind::kComment && !raw && end - begin >= 2) {
-      ++begin;
-      --end;
-    }
-    for (std::size_t i = begin; i < end && i < out.size(); ++i) {
-      if (out[i] != '\n' && out[i] != '\r') out[i] = ' ';
-    }
-  }
-  return out;
-}
-
 void AnalyzeSource(const std::string& path_label, std::string_view content,
-                   const FileKind& kind,
-                   const std::vector<GlobalWhitelistEntry>& whitelist,
                    Analysis* out) {
   const std::vector<Token> toks = Lex(content);
   Code code;
@@ -865,7 +884,7 @@ void AnalyzeSource(const std::string& path_label, std::string_view content,
     code.push_back(&t);
     if (t.directive.empty() && t.text != "#") plain.push_back(&t);
   }
-  const Ctx ctx{path_label, kind, whitelist, out};
+  const Ctx ctx{path_label, out};
   const std::size_t base = out->violations.size();
 
   PassHeaderHygiene(ctx, code);
@@ -883,11 +902,9 @@ void AnalyzeSource(const std::string& path_label, std::string_view content,
 }
 
 std::vector<Violation> LintSource(const std::string& path_label,
-                                  std::string_view content,
-                                  const FileKind& kind) {
+                                  std::string_view content) {
   Analysis analysis;
-  AnalyzeSource(path_label, content, kind, DefaultGlobalWhitelist(),
-                &analysis);
+  AnalyzeSource(path_label, content, &analysis);
   return std::move(analysis.violations);
 }
 
@@ -918,37 +935,11 @@ Analysis AnalyzeTree(const std::vector<std::filesystem::path>& roots) {
       // basename) so output is stable whether the caller passed an
       // absolute or relative root.
       const std::string rel = fs::relative(file, root).generic_string();
-      FileKind kind;
-      kind.is_header = file.extension() == ".h";
-      if (root_name == "tools") {
-        // CLI entry points live at tools/ top level and own the terminal;
-        // everything nested (tools/lint/, ...) is library code.
-        kind.allow_cli_output = rel.find('/') == std::string::npos;
-      } else {
-        kind.allow_protocol_literals = rel == "core/params.h";
-        kind.allow_threads = rel.rfind("runner/", 0) == 0;
-        kind.forbid_std_function = rel.rfind("sim/", 0) == 0;
-        kind.allow_fault_injection = rel.rfind("fault/", 0) == 0;
-        kind.forbid_hash_maps = rel.rfind("core/", 0) == 0;
-        kind.allow_transport_syscalls = rel.rfind("transport/", 0) == 0 ||
-                                        rel.rfind("binlog/", 0) == 0;
-        // The transport layer owns the real clock too (TcpTransport::Now
-        // is CLOCK_MONOTONIC; binlog records carry real timestamps).
-        kind.allow_wall_clock =
-            rel.rfind("runner/", 0) == 0 || kind.allow_transport_syscalls;
-        kind.forbid_net_rng =
-            rel.rfind("net/", 0) == 0 && rel != "net/topology_gen.cpp";
-      }
-      AnalyzeSource(root_name + "/" + rel, buf.str(), kind,
-                    DefaultGlobalWhitelist(), &analysis);
+      AnalyzeSource(root_name + "/" + rel, buf.str(), &analysis);
       ++analysis.files_scanned;
     }
   }
   return analysis;
-}
-
-std::vector<Violation> LintTree(const std::filesystem::path& src_root) {
-  return AnalyzeTree({src_root}).violations;
 }
 
 std::string FormatViolation(const Violation& v) {

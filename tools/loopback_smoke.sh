@@ -12,6 +12,9 @@
 #   2. Replay determinism: radar-replay over the captured binlog emits
 #      byte-identical radar.report/1 JSON across two invocations (cmp).
 #
+# Before booting anything it also checks that every tool refuses
+# malformed numeric flags with exit status 2.
+#
 # Usage: tools/loopback_smoke.sh <build-bin-dir> [work-dir]
 #   <build-bin-dir>  directory holding radar-hostd, radar-redirectd,
 #                    radar-workctl, radar-replay (e.g. build/tools)
@@ -64,6 +67,28 @@ cat > nodes.conf <<EOF
 EOF
 
 mkdir -p state spool
+
+# --- malformed numeric flags: each tool refuses them at start-up (exit 2,
+# "bad value") before it binds or dials anything. The timeout turns a tool
+# that boots anyway into a failure instead of a hang.
+while IFS= read -r invocation; do
+  # shellcheck disable=SC2086  # the argument list is split on purpose
+  timeout 10 "${BIN}"/${invocation} >bad_flag.log 2>&1
+  rc=$?
+  { [ "${rc}" -eq 2 ] && grep -q "bad value" bad_flag.log; } \
+    || fail "'${invocation}' exited ${rc}, want 2: $(cat bad_flag.log)"
+done <<'BAD'
+radar-workctl --config nodes.conf --id 4 run --requests abc --objects 10
+radar-workctl --config nodes.conf --id 4 run --requests -4 --objects 10
+radar-workctl --config nodes.conf --id 4 run --requests 0 --objects 10
+radar-workctl --config nodes.conf --id 4 shutdown --target 1x
+radar-workctl --config nodes.conf --id 4 shutdown --target 0 --timeout-ms 9999999999
+radar-redirectd --config nodes.conf --num-objects -7 --poll-ms abc
+radar-redirectd --config nodes.conf --min-replicas 1.5
+radar-hostd --config nodes.conf --id 1 --num-objects 12x
+radar-hostd --config nodes.conf --id -1
+radar-replay --config nodes.conf --capture capture.binlog --out r.json --num-objects -1
+BAD
 
 start_hostd() {
   "${BIN}/radar-hostd" --config nodes.conf --id "$1" \

@@ -1,6 +1,7 @@
 // radar_lint — walks source trees and enforces repo conventions, the
 // paper's protocol-invariant hygiene, and the shared-state passes (see
-// tools/lint/linter.h for the rule list). With --report it also writes
+// tools/lint/linter.h for the passes, kRules in tools/lint/linter.cpp
+// for the banned-token rules). With --report it also writes
 // the radar.analysis/1 shared-state inventory (tools/lint/analysis_json.h).
 // Exit code 0 means clean, 1 means violations were printed, 2 means usage
 // or I/O error. Registered as a ctest case over src/ and tools/.
@@ -63,8 +64,8 @@ int main(int argc, char** argv) {
   }
 
   if (!report_path.empty()) {
-    const radar::driver::JsonValue doc = radar::lint::AnalysisJson(
-        analysis, roots, radar::lint::DefaultGlobalWhitelist());
+    const radar::driver::JsonValue doc =
+        radar::lint::AnalysisJson(analysis, roots);
     std::string error;
     if (!radar::driver::WriteJsonFile(report_path, doc, &error)) {
       std::fprintf(stderr, "radar_lint: cannot write report: %s\n",

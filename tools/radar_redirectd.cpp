@@ -43,17 +43,21 @@ constexpr const char* kUsage =
     "  --poll-ms MS      poll loop timeout (default 20)\n";
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
+  using radar::transport::ParseToken;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    bool valid = true;  // numeric flags take whole decimal integers in range
     if (arg == "--fsync") {
       flags->fsync = true;
     } else if (arg == "--config" && has_value) {
       flags->config_path = argv[++i];
     } else if (arg == "--num-objects" && has_value) {
-      flags->num_objects = std::atoi(argv[++i]);
+      valid = ParseToken(argv[++i], &flags->num_objects) &&
+              flags->num_objects >= 0;
     } else if (arg == "--min-replicas" && has_value) {
-      flags->min_replicas = std::atoi(argv[++i]);
+      valid = ParseToken(argv[++i], &flags->min_replicas) &&
+              flags->min_replicas >= 0;
     } else if (arg == "--spool-dir" && has_value) {
       flags->spool_dir = argv[++i];
     } else if (arg == "--capture" && has_value) {
@@ -61,9 +65,14 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--summary" && has_value) {
       flags->summary_path = argv[++i];
     } else if (arg == "--poll-ms" && has_value) {
-      flags->poll_ms = std::atoi(argv[++i]);
+      valid = ParseToken(argv[++i], &flags->poll_ms) && flags->poll_ms >= 0;
     } else {
       std::cerr << "error: bad flag '" << arg << "'\n" << kUsage;
+      return false;
+    }
+    if (!valid) {
+      std::cerr << "error: bad value '" << argv[i] << "' for " << arg << "\n"
+                << kUsage;
       return false;
     }
   }

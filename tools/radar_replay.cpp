@@ -12,7 +12,6 @@
 // so two invocations emit byte-identical radar.report/1 documents — the
 // property the CI smoke test asserts with cmp.
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -36,9 +35,11 @@ constexpr const char* kUsage =
     "  --num-objects M   object population (default: max id in capture + 1)\n";
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
+  using radar::transport::ParseToken;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    bool valid = true;  // numeric flags take whole decimal integers in range
     if (arg == "--config" && has_value) {
       flags->config_path = argv[++i];
     } else if (arg == "--capture" && has_value) {
@@ -46,9 +47,15 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--out" && has_value) {
       flags->out_path = argv[++i];
     } else if (arg == "--num-objects" && has_value) {
-      flags->num_objects = std::atoi(argv[++i]);
+      valid = ParseToken(argv[++i], &flags->num_objects) &&
+              flags->num_objects >= 0;
     } else {
       std::cerr << "error: bad flag '" << arg << "'\n" << kUsage;
+      return false;
+    }
+    if (!valid) {
+      std::cerr << "error: bad value '" << argv[i] << "' for " << arg << "\n"
+                << kUsage;
       return false;
     }
   }

@@ -40,25 +40,34 @@ constexpr const char* kUsage =
     "  --timeout-ms MS   per-exchange deadline (default 5000)\n";
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
+  using radar::transport::ParseToken;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    bool valid = true;  // numeric flags take whole decimal integers in range
     if (arg == "run" || arg == "shutdown") {
       flags->mode = arg;
     } else if (arg == "--config" && has_value) {
       flags->config_path = argv[++i];
     } else if (arg == "--id" && has_value) {
-      flags->id = static_cast<NodeId>(std::atoi(argv[++i]));
+      valid = ParseToken(argv[++i], &flags->id) && flags->id >= 0;
     } else if (arg == "--requests" && has_value) {
-      flags->requests = std::atoll(argv[++i]);
+      valid = ParseToken(argv[++i], &flags->requests) && flags->requests >= 1;
     } else if (arg == "--objects" && has_value) {
-      flags->num_objects = std::atoi(argv[++i]);
+      valid = ParseToken(argv[++i], &flags->num_objects) &&
+              flags->num_objects >= 0;
     } else if (arg == "--target" && has_value) {
-      flags->target = static_cast<NodeId>(std::atoi(argv[++i]));
+      valid = ParseToken(argv[++i], &flags->target) && flags->target >= 0;
     } else if (arg == "--timeout-ms" && has_value) {
-      flags->timeout_ms = std::atoi(argv[++i]);
+      valid = ParseToken(argv[++i], &flags->timeout_ms) &&
+              flags->timeout_ms >= 0;
     } else {
       std::cerr << "error: bad flag '" << arg << "'\n" << kUsage;
+      return false;
+    }
+    if (!valid) {
+      std::cerr << "error: bad value '" << argv[i] << "' for " << arg << "\n"
+                << kUsage;
       return false;
     }
   }
