@@ -48,7 +48,18 @@ void Cluster::TickMeasurement(NodeId n, SimTime now) {
 
 PlacementStats Cluster::RunPlacement(NodeId n, SimTime now) {
   now_ = now;
-  return host(n).RunPlacement(*this, now);
+  PlacementRound round = host(n).Placement(*this, now);
+  while (!round.done()) {
+    const PlacementIntent& intent = round.intent();
+    round.Resume(
+        intent.kind == PlacementIntent::Kind::kCreateObj
+            ? CreateObjRpc(n, intent.to, intent.method, intent.x,
+                           intent.unit_load)
+                  .accepted
+            : redirectors_.For(intent.x).ReduceAffinity(intent.x, n,
+                                                        intent.affinity));
+  }
+  return round.stats();
 }
 
 CreateObjResponse Cluster::CreateObjRpc(NodeId from, NodeId to,
@@ -122,8 +133,6 @@ bool Cluster::RepairReplicate(NodeId from, NodeId to, ObjectId x,
   }
   return true;
 }
-
-Redirector& Cluster::RedirectorFor(ObjectId x) { return redirectors_.For(x); }
 
 std::int32_t Cluster::Distance(NodeId from, NodeId to) const {
   return distance_.Distance(from, to);

@@ -1,5 +1,6 @@
 // The hosting platform's control plane: all host agents plus the
-// redirector group, wired together through the PlacementContext.
+// redirector group. Cluster answers a placement round's queries
+// (PlacementContext) and resolves its intents inline.
 //
 // Cluster is deliberately free of any event-driven machinery so that unit
 // and property tests can drive the protocol step by step; the simulation
@@ -79,14 +80,23 @@ class Cluster : public PlacementContext {
   /// Runs host n's measurement tick at `now`.
   void TickMeasurement(NodeId n, SimTime now);
 
-  /// Runs host n's placement round at `now`.
+  /// Runs host n's placement round at `now`, resolving each intent as it
+  /// is asked: a CreateObj through CreateObjRpc, a ReduceAffinity at x's
+  /// redirector. Resolving inline models each exchange as a synchronous
+  /// RPC: its round trip (tens of milliseconds) is negligible against the
+  /// 100-second placement interval, and the object-copy traffic is
+  /// charged separately by the transfer hook.
   PlacementStats RunPlacement(NodeId n, SimTime now);
 
-  // ---- PlacementContext ----
+  /// Sends CreateObj(method, x, unit_load) from `from` to candidate `to`
+  /// through the fault filter and returns the verdict the source sees. On
+  /// acceptance x's redirector learns of the new copy / affinity unit
+  /// before this returns (Fig. 4's "notify x's redirector").
   CreateObjResponse CreateObjRpc(NodeId from, NodeId to,
                                  CreateObjMethod method, ObjectId x,
-                                 double unit_load) override;
-  Redirector& RedirectorFor(ObjectId x) override;
+                                 double unit_load);
+
+  // ---- PlacementContext ----
   std::int32_t Distance(NodeId from, NodeId to) const override;
   NodeId FindOffloadRecipient(NodeId self) override;
   double ReportedLoad(NodeId host) const override;

@@ -228,18 +228,6 @@ CreateObjResponse HostAgent::HandleCreateObj(CreateObjMethod method,
   return resp;
 }
 
-void HostAgent::NoteReplicationShed(ObjectId x) {
-  const Handle h = HandleOf(x);
-  lower_adjust_cur_ += ReplicationSourceDecreaseBound(load_[h]);
-}
-
-void HostAgent::DropReplica(ObjectId x) {
-  const Handle h = HandleOf(x);
-  lower_adjust_cur_ +=
-      MigrationSourceDecreaseBound(load_[h], records_.At(h).aff);
-  EraseRecord(x);
-}
-
 void HostAgent::ResetAfterCrash(SimTime now) {
   serviced_interval_total_ = 0;
   measured_load_ = 0.0;
@@ -288,36 +276,56 @@ std::uint32_t HostAgent::AccessCount(ObjectId x, NodeId p) const {
   return h != Records::kNoHandle ? CountFor(CountsRow(h), p) : 0;
 }
 
-HostAgent::ReduceOutcome HostAgent::ReduceAffinity(PlacementContext& ctx,
-                                                   ObjectId x) {
-  ReplicaRecord& rec = records_.At(HandleOf(x));
-  Redirector& redirector = ctx.RedirectorFor(x);
-  if (rec.aff > 1) {
-    --rec.aff;
-    redirector.OnAffinityReduced(x, self_, rec.aff);
-    return ReduceOutcome::kReduced;
-  }
-  if (redirector.RequestDrop(x, self_)) {
-    EraseRecord(x);
-    return ReduceOutcome::kDropped;
-  }
-  return ReduceOutcome::kDenied;
+HostAgent::ReduceStep HostAgent::ReduceAffinity(ObjectId x,
+                                                double migration_bound) {
+  return ReduceStep{
+      {PlacementIntent{PlacementIntent::Kind::kReduceAffinity, x,
+                       CreateObjMethod::kMigrate, kInvalidNode, 0.0,
+                       Affinity(x)},
+       nullptr},
+      this,
+      migration_bound};
 }
 
-const std::vector<NodeId>& HostAgent::CandidatesByFarthest(
-    const CountRow& counts, const PlacementContext& ctx) {
-  // Distances are fetched once per candidate, not once per comparison: a
-  // sort comparator that calls a virtual oracle is the dominant cost of a
-  // placement round on large runs. The (distance desc, id asc) key is a
-  // total order, so the result is identical to sorting with the oracle in
-  // the comparator. Both buffers are member scratch — a placement round
-  // calls this for every warm object, and per-call vectors dominated the
-  // round's profile. `counts` must be coalesced: the row then enumerates
-  // exactly the nodes the old dense scan found non-zero (the sort's
-  // total order makes the result independent of the row's entry order).
+HostAgent::ReduceStep HostAgent::MigrateAway(ObjectId x, double object_load,
+                                             int aff_before) {
+  return ReduceAffinity(
+      x, MigrationSourceDecreaseBound(object_load, aff_before));
+}
+
+bool HostAgent::ReduceStep::await_resume() const {
+  const bool granted = Ask::await_resume();
+  agent->lower_adjust_cur_ += migration_bound;
+  const Handle h =
+      granted ? agent->records_.HandleOf(intent.x) : Records::kNoHandle;
+  if (h != Records::kNoHandle) {
+    // One unit, whatever the affinity is now: a CreateObj accepted while
+    // the round waited may have raised it, and the redirector's record
+    // then holds that unit too.
+    if (--agent->records_.At(h).aff == 0) agent->EraseRecord(intent.x);
+  }
+  return granted;
+}
+
+void HostAgent::CandidatesByFarthest(const CountRow& counts,
+                                     double min_count,
+                                     const PlacementContext& ctx,
+                                     std::vector<NodeId>* out) {
+  // Only qualifying nodes are ranked: most of a warm row falls below the
+  // MIGR/REPL ratio, and filtering first spares them the distance lookup
+  // and the sort. Distances are fetched once per candidate, not once per
+  // comparison: a sort comparator that calls a virtual oracle is the
+  // dominant cost of a placement round on large runs. The (distance
+  // desc, id asc) key is a total order, so the result is independent of
+  // the row's entry order. Both buffers keep their capacity — a placement
+  // round calls this for every warm object, and per-call vectors
+  // dominated the round's profile. CountFor sums a node's entries, so a
+  // row that requests appended to while the round was suspended works
+  // too: its repeated nodes sort adjacent and the copy-out skips them.
   candidate_scratch_.clear();
   for (const CountEntry& e : counts) {
-    if (e.node != self_ && e.count > 0) {
+    if (e.node != self_ &&
+        static_cast<double>(CountFor(counts, e.node)) > min_count) {
       candidate_scratch_.push_back(Candidate{ctx.Distance(self_, e.node),
                                              e.node});
     }
@@ -327,14 +335,51 @@ const std::vector<NodeId>& HostAgent::CandidatesByFarthest(
               if (a.dist != b.dist) return a.dist > b.dist;
               return a.p < b.p;
             });
-  candidate_out_.clear();
-  candidate_out_.reserve(candidate_scratch_.size());
-  for (const Candidate& c : candidate_scratch_) candidate_out_.push_back(c.p);
-  return candidate_out_;
+  out->clear();
+  for (const Candidate& c : candidate_scratch_) {
+    if (out->empty() || out->back() != c.p) out->push_back(c.p);
+  }
 }
 
-PlacementStats HostAgent::RunPlacement(PlacementContext& ctx, SimTime now) {
+std::vector<HostAgent::Ranked> HostAgent::RankForOffload() {
+  // Objects whose requests mostly pass by other hosts come first.
+  std::vector<Ranked> ranked;
+  ranked.reserve(records_.size());
+  records_.ForEachKeyAscending([&](std::int64_t key, Handle h) {
+    CountRow& counts = CountsRow(h);
+    CoalesceRow(counts);  // the max-fraction scan needs one entry per node
+    const auto total = static_cast<double>(CountFor(counts, self_));
+    double best = 0.0;
+    if (total > 0.0) {
+      for (const CountEntry& e : counts) {
+        if (e.node == self_) continue;
+        best = std::max(best, static_cast<double>(e.count) / total);
+      }
+    }
+    ranked.push_back(Ranked{best, static_cast<ObjectId>(key)});
+  });
+  std::stable_sort(ranked.begin(), ranked.end(), [](const Ranked& a,
+                                                    const Ranked& b) {
+    if (a.foreign_fraction != b.foreign_fraction) {
+      return a.foreign_fraction > b.foreign_fraction;
+    }
+    return a.x < b.x;
+  });
+  return ranked;
+}
+
+// The round never holds a reference into agent storage across a co_await:
+// requests (count-row appends) and CreateObjs (record inserts that grow
+// the parallel arrays) may run while it is suspended. It keeps object ids
+// and slab handles — a handle is a slot index, stable while its object is
+// hosted, and only the round itself drops records — and re-reads records
+// and rows through them after every resume. What it iterates lives in its
+// own frame. Besides the frame, a round allocates its object list and,
+// when offloading, its ranking: as per-agent scratch every agent would
+// hold one, which cost ~5% peak RSS on the Fig. 9 hot-sites workload.
+PlacementRound HostAgent::Placement(PlacementContext& ctx, SimTime now) {
   PlacementStats stats;
+  std::vector<NodeId> candidates = std::move(candidate_out_);
 
   // Mode hysteresis (Fig. 3 preamble). The offloading decision uses the
   // lower-limit estimate (Sec. 2.1): a host that just shed objects should
@@ -347,15 +392,15 @@ PlacementStats HostAgent::RunPlacement(PlacementContext& ctx, SimTime now) {
   const double u = params_->deletion_threshold_u;
   const double m = params_->replication_threshold_m;
 
-  for (const ObjectId x : Objects()) {
+  const std::vector<ObjectId> objects = Objects();
+  for (const ObjectId x : objects) {
     const Handle h = records_.HandleOf(x);
     if (h == Records::kNoHandle) continue;
     const double seconds = EpochSeconds(records_.At(h), now);
     if (seconds <= 0.0) continue;
-    // One coalesce covers every read below: the candidate walks iterate
-    // entries and need one entry per node, and handles are stable for the
-    // rest of this iteration (a dropped record clears its row and is
-    // guarded by HasObject before the replication pass).
+    // One coalesce shortens both candidate walks below to one entry per
+    // node (a request arriving while the round waits appends to the row
+    // again; CandidatesByFarthest stays exact on that).
     CoalesceRow(CountsRow(h));
     const auto total = static_cast<double>(CountFor(CountsRow(h), self_));
     const double unit_rate =
@@ -364,24 +409,21 @@ PlacementStats HostAgent::RunPlacement(PlacementContext& ctx, SimTime now) {
     bool relocated = false;
     if (unit_rate < u) {
       // Deletion branch: shed one affinity unit if the redirector allows.
-      if (ReduceAffinity(ctx, x) != ReduceOutcome::kDenied) {
+      if (co_await ReduceAffinity(x)) {
         ++stats.affinity_drops;
         relocated = true;
       }
     } else if (total > 0.0) {
       // Geo-migration: the farthest host on > MIGR_RATIO of the requests'
       // preference paths (Sec. 4.2.1).
-      for (const NodeId p : CandidatesByFarthest(CountsRow(h), ctx)) {
-        const auto cnt = static_cast<double>(CountFor(CountsRow(h), p));
-        if (cnt <= params_->migr_ratio * total) continue;
+      CandidatesByFarthest(CountsRow(h), params_->migr_ratio * total, ctx,
+                           &candidates);
+      for (const NodeId p : candidates) {
         const int aff_before = records_.At(h).aff;
         const double object_load = load_[h];
-        const CreateObjResponse resp = ctx.CreateObjRpc(
-            self_, p, CreateObjMethod::kMigrate, x, UnitLoad(x));
-        if (resp.accepted) {
-          ReduceAffinity(ctx, x);
-          lower_adjust_cur_ +=
-              MigrationSourceDecreaseBound(object_load, aff_before);
+        if (co_await CreateObj(CreateObjMethod::kMigrate, p, x,
+                               UnitLoad(x))) {
+          co_await MigrateAway(x, object_load, aff_before);
           ++stats.geo_migrations;
           relocated = true;
           break;
@@ -392,16 +434,14 @@ PlacementStats HostAgent::RunPlacement(PlacementContext& ctx, SimTime now) {
     // Geo-replication: only if still fully present, above the replication
     // threshold, with a candidate past REPL_RATIO.
     if (!relocated && HasObject(x) && unit_rate > m && total > 0.0) {
-      const Handle hc = HandleOf(x);
-      for (const NodeId p : CandidatesByFarthest(CountsRow(hc), ctx)) {
-        const auto cnt = static_cast<double>(CountFor(CountsRow(hc), p));
-        if (cnt <= params_->repl_ratio * total) continue;
-        const CreateObjResponse resp = ctx.CreateObjRpc(
-            self_, p, CreateObjMethod::kReplicate, x, UnitLoad(x));
-        if (resp.accepted) {
-          lower_adjust_cur_ += ReplicationSourceDecreaseBound(load_[hc]);
+      CandidatesByFarthest(CountsRow(h), params_->repl_ratio * total, ctx,
+                           &candidates);
+      for (const NodeId p : candidates) {
+        const double object_load = load_[h];
+        if (co_await CreateObj(CreateObjMethod::kReplicate, p, x,
+                               UnitLoad(x))) {
+          lower_adjust_cur_ += ReplicationSourceDecreaseBound(object_load);
           ++stats.geo_replications;
-          relocated = true;
           break;
         }
       }
@@ -419,7 +459,48 @@ PlacementStats HostAgent::RunPlacement(PlacementContext& ctx, SimTime now) {
   // mode exists to guarantee (see DESIGN.md).
   if (offloading_ && OffloadLoad() / weight_ > params_->low_watermark) {
     stats.ran_offload = true;
-    Offload(ctx, stats, now);
+    // Fig. 5: shed objects to one underloaded recipient, using the
+    // Theorem 1-4 bounds to pace the bulk transfer.
+    const NodeId recipient = ctx.FindOffloadRecipient(self_);
+    RADAR_CHECK_NE(recipient, self_);
+    double recipient_load =
+        recipient != kInvalidNode ? ctx.ReportedLoad(recipient) : 0.0;
+    const std::vector<Ranked> ranked =
+        recipient != kInvalidNode && recipient_load < params_->low_watermark
+            ? RankForOffload()
+            : std::vector<Ranked>{};
+    for (const Ranked& r : ranked) {
+      if (OffloadLoad() / weight_ <= params_->low_watermark) break;
+      if (recipient_load >= params_->low_watermark) break;
+      const ObjectId x = r.x;
+      const Handle h = records_.HandleOf(x);
+      if (h == Records::kNoHandle) continue;
+      const int aff_before = records_.At(h).aff;
+      const double object_load = load_[h];
+      const double unit_load = object_load / static_cast<double>(aff_before);
+
+      if (UnitAccessRate(x, now) <= m) {
+        // Load-migration; heavily requested objects are never
+        // load-migrated (that could undo a previous geo-replication,
+        // Sec. 4.2.2).
+        if (!co_await CreateObj(CreateObjMethod::kMigrate, recipient, x,
+                                unit_load)) {
+          break;
+        }
+        co_await MigrateAway(x, object_load, aff_before);
+        ++stats.offload_migrations;
+      } else {
+        if (!co_await CreateObj(CreateObjMethod::kReplicate, recipient, x,
+                                unit_load)) {
+          break;
+        }
+        lower_adjust_cur_ += ReplicationSourceDecreaseBound(object_load);
+        ++stats.offload_replications;
+      }
+      recipient_load += RecipientIncreaseBoundFromUnitLoad(unit_load) /
+                        ctx.HostWeight(recipient);
+      if (!params_->bulk_offload) break;
+    }
   }
 
   // Start a new access-count epoch. Rows untouched this epoch are
@@ -430,89 +511,8 @@ PlacementStats HostAgent::RunPlacement(PlacementContext& ctx, SimTime now) {
     counts_[s].clear();
   }
   epoch_start_ = now;
-  return stats;
-}
-
-void HostAgent::Offload(PlacementContext& ctx, PlacementStats& stats,
-                        SimTime now) {
-  const NodeId recipient = ctx.FindOffloadRecipient(self_);
-  if (recipient == kInvalidNode) return;
-  RADAR_CHECK_NE(recipient, self_);
-  double recipient_load = ctx.ReportedLoad(recipient);
-  if (recipient_load >= params_->low_watermark) return;
-
-  // Examine objects in decreasing order of their highest "foreign" access
-  // fraction — objects whose requests mostly pass by other hosts first.
-  struct Ranked {
-    double foreign_fraction;
-    ObjectId x;
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(records_.size());
-  for (const ObjectId x : Objects()) {
-    CountRow& counts = CountsRow(HandleOf(x));
-    CoalesceRow(counts);  // the max-fraction scan needs one entry per node
-    const auto total = static_cast<double>(CountFor(counts, self_));
-    double best = 0.0;
-    if (total > 0.0) {
-      for (const CountEntry& e : counts) {
-        if (e.node == self_) continue;
-        best = std::max(best, static_cast<double>(e.count) / total);
-      }
-    }
-    ranked.push_back(Ranked{best, x});
-  }
-  std::stable_sort(ranked.begin(), ranked.end(), [](const Ranked& a,
-                                                    const Ranked& b) {
-    if (a.foreign_fraction != b.foreign_fraction) {
-      return a.foreign_fraction > b.foreign_fraction;
-    }
-    return a.x < b.x;
-  });
-
-  const double m = params_->replication_threshold_m;
-  for (const Ranked& r : ranked) {
-    if (OffloadLoad() / weight_ <= params_->low_watermark) break;
-    if (recipient_load >= params_->low_watermark) break;
-    const ObjectId x = r.x;
-    const Handle h = records_.HandleOf(x);
-    if (h == Records::kNoHandle) continue;
-    const ReplicaRecord& rec = records_.At(h);
-    const double seconds = EpochSeconds(rec, now);
-    const double unit_rate =
-        seconds > 0.0
-            ? static_cast<double>(CountFor(CountsRow(h), self_)) /
-                  static_cast<double>(rec.aff) / seconds
-            : 0.0;
-    const double object_load = load_[h];
-    const double unit_load = object_load / static_cast<double>(rec.aff);
-    const int aff_before = rec.aff;
-
-    if (unit_rate <= m) {
-      // Load-migration; heavily requested objects are never load-migrated
-      // (that could undo a previous geo-replication, Sec. 4.2.2).
-      const CreateObjResponse resp = ctx.CreateObjRpc(
-          self_, recipient, CreateObjMethod::kMigrate, x, unit_load);
-      if (!resp.accepted) break;
-      lower_adjust_cur_ += MigrationSourceDecreaseBound(object_load, aff_before);
-      recipient_load += RecipientIncreaseBoundFromUnitLoad(unit_load) /
-                        ctx.HostWeight(recipient);
-      const ReduceOutcome outcome = ReduceAffinity(ctx, x);
-      RADAR_CHECK_MSG(outcome != ReduceOutcome::kDenied,
-                      "migration drop denied after recipient accepted");
-      ++stats.offload_migrations;
-      if (!params_->bulk_offload) break;
-    } else {
-      const CreateObjResponse resp = ctx.CreateObjRpc(
-          self_, recipient, CreateObjMethod::kReplicate, x, unit_load);
-      if (!resp.accepted) break;
-      lower_adjust_cur_ += ReplicationSourceDecreaseBound(object_load);
-      recipient_load += RecipientIncreaseBoundFromUnitLoad(unit_load) /
-                        ctx.HostWeight(recipient);
-      ++stats.offload_replications;
-      if (!params_->bulk_offload) break;
-    }
-  }
+  candidate_out_ = std::move(candidates);
+  co_return stats;
 }
 
 void HostAgent::set_weight(double weight) {

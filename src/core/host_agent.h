@@ -9,14 +9,18 @@
 //   - maintains the upper/lower load estimates that Theorems 1-4 make
 //     sound, so it can accept or shed many objects without waiting for
 //     fresh measurements,
-//   - periodically runs DecidePlacement (Fig. 3) with geo-migration /
-//     geo-replication, and Offload (Fig. 5) when stuck above the high
-//     watermark, and
+//   - periodically runs a placement round: Fig. 3's deletion,
+//     geo-migration and geo-replication, then Fig. 5's offload when stuck
+//     above the high watermark, and
 //   - answers CreateObj requests from peers (Fig. 4).
 //
 // The agent is autonomous by construction: it never learns which other
 // replicas of its objects exist; everything it decides follows from its own
-// counters plus the CreateObj verdicts of candidate recipients.
+// counters plus the verdicts on the intents its round asks of the platform
+// (a candidate's CreateObj acceptance, the redirector's affinity
+// reduction or drop). The round is a coroutine (PlacementRound), so the
+// simulator resolves those intents inline and the daemons over the wire
+// with the same code.
 //
 // Storage layout: records live in a SlabMap keyed by object id, and the
 // per-interval measurement fields (serviced counts, measured loads) live
@@ -143,27 +147,14 @@ class HostAgent {
   CreateObjResponse HandleCreateObj(CreateObjMethod method, ObjectId x,
                                     double unit_load, SimTime now);
 
-  /// Fig. 3 (+ Fig. 5 when offloading): one placement round at time `now`.
-  /// Resets the per-object access counts afterwards.
-  PlacementStats RunPlacement(PlacementContext& ctx, SimTime now);
-
-  // ---- Real-system mode surface (src/transport drives these) ----
-  //
-  // The networked daemons run Fig. 4 admission via HandleCreateObj, but
-  // their source-side drop is asynchronous: a CreateObj acceptance and the
-  // redirector's drop grant arrive as separate wire frames, not inside one
-  // synchronous PlacementContext call. These entry points apply the same
-  // Theorem 1/3 accounting as RunPlacement's internal relocation paths.
-
-  /// Source-side bookkeeping after a peer accepted a REPLICATE of x (the
-  /// source keeps its copy): charges the Theorem 1 decrease bound so the
-  /// offload estimate reflects the shed load. Requires x hosted.
-  void NoteReplicationShed(ObjectId x);
-
-  /// Drops the local replica of x after the redirector granted the drop
-  /// (migration source side): charges the Theorem 3 decrease bound and
-  /// erases the record. Requires x hosted.
-  void DropReplica(ObjectId x);
+  /// Fig. 3 (+ Fig. 5 when offloading): starts one placement round at
+  /// time `now`. The round reads the platform through `ctx` (which must
+  /// outlive it) and suspends on each PlacementIntent; the caller resumes
+  /// it with the verdict. The round charges the Theorem 1/3 bounds of its
+  /// relocations itself and resets the per-object access counts when it
+  /// completes. Run one round at a time: requests and CreateObjs may
+  /// arrive while a round is suspended, another round may not start.
+  PlacementRound Placement(PlacementContext& ctx, SimTime now);
 
   // ---- Fault reaction (src/fault drives these) ----
 
@@ -207,8 +198,6 @@ class HostAgent {
   // host's typical working set (a few dozen replicas, not hundreds).
   using Records = SlabMap<ReplicaRecord, 5, HashSlabIndex>;
   using Handle = Records::Handle;
-
-  enum class ReduceOutcome { kReduced, kDropped, kDenied };
 
   /// One sparse access-count entry: node `node` appeared on `count`
   /// preference paths this epoch. A row may hold several entries for the
@@ -257,26 +246,53 @@ class HostAgent {
   void RecordServicedAt(Handle h,
                         const std::vector<NodeId>& preference_path);
 
-  /// Fig. 3's ReduceAffinity: decrements affinity (notifying the
-  /// redirector) or, at affinity 1, asks the redirector for permission to
-  /// drop the replica outright.
-  ReduceOutcome ReduceAffinity(PlacementContext& ctx, ObjectId x);
+  /// Fig. 3's ReduceAffinity(x) as an awaitable intent. On the
+  /// redirector's grant the local replica sheds one affinity unit (the
+  /// record goes at 0), and `migration_bound` — the Theorem 3 decrease
+  /// bound when this is a migration's source half, else 0 — is charged
+  /// whatever the verdict.
+  struct ReduceStep : PlacementRound::Ask {
+    HostAgent* agent;
+    double migration_bound;
 
-  /// Fig. 5: sheds objects to one underloaded recipient using the
-  /// Theorem 1-4 bounds to pace the bulk transfer.
-  void Offload(PlacementContext& ctx, PlacementStats& stats, SimTime now);
+    bool await_resume() const;
+  };
+
+  /// Awaitable Fig. 4 CreateObj(method, x, unit_load) to `to`.
+  static PlacementRound::Ask CreateObj(CreateObjMethod method, NodeId to,
+                                       ObjectId x, double unit_load) {
+    return {PlacementIntent{PlacementIntent::Kind::kCreateObj, x, method, to,
+                            unit_load, 0},
+            nullptr};
+  }
+  /// The migrate step Fig. 3's geo-migration and Fig. 5's load-migration
+  /// share, once the recipient accepted CreateObj(MIGRATE): shed the
+  /// local affinity unit and charge the Theorem 3 bound for the replica's
+  /// `object_load` at `aff_before` units. A refused drop (replica floor,
+  /// or the redirector went away) leaves both copies live with the bound
+  /// still charged — a relocation duplicates an object, never loses one.
+  ReduceStep MigrateAway(ObjectId x, double object_load, int aff_before);
+  ReduceStep ReduceAffinity(ObjectId x, double migration_bound = 0.0);
+
+  /// Hosted objects in decreasing order of their highest "foreign"
+  /// access fraction (Fig. 5's examination order).
+  struct Ranked {
+    double foreign_fraction;
+    ObjectId x;
+  };
+  std::vector<Ranked> RankForOffload();
 
   /// Seconds of epoch this replica has observed at `now`.
   double EpochSeconds(const ReplicaRecord& rec, SimTime now) const;
 
-  /// Nodes with non-zero access counts in `counts` (which must be
-  /// coalesced), excluding self, in decreasing order of distance from
-  /// self (ties: lower id first).
-  /// Returns a reference to an internal scratch buffer, valid until the
-  /// next call on this agent — placement calls it O(objects) times per
-  /// round, so it must not allocate.
-  const std::vector<NodeId>& CandidatesByFarthest(const CountRow& counts,
-                                                  const PlacementContext& ctx);
+  /// Writes to `out` the nodes other than self whose access count in
+  /// `counts` exceeds `min_count`, in decreasing order of distance from
+  /// self (ties: lower id first). Placement calls it O(objects) times per
+  /// round, so it reuses `out`'s capacity; a coalesced row makes it
+  /// cheapest.
+  void CandidatesByFarthest(const CountRow& counts, double min_count,
+                            const PlacementContext& ctx,
+                            std::vector<NodeId>* out);
 
   NodeId self_;
   std::int32_t num_nodes_;
@@ -300,6 +316,9 @@ class HostAgent {
     NodeId p;
   };
   std::vector<Candidate> candidate_scratch_;
+  /// Capacity for a round's candidate lists. The round moves it into its
+  /// frame at the start and hands it back at the end, so it owns what it
+  /// iterates across suspensions and steady-state rounds reuse it.
   std::vector<NodeId> candidate_out_;
 
   // Scratch for CoalesceRow: an open-addressing node -> compacted-

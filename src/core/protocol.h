@@ -1,11 +1,15 @@
-// Shared protocol types: the CreateObj RPC (Fig. 4) and the context through
-// which a host's placement run reaches the rest of the platform.
+// Shared protocol types: the CreateObj RPC (Fig. 4), the queries a host's
+// placement round reads, and the round itself — a coroutine that suspends
+// on each intent it asks of the platform.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
+#include <exception>
+#include <utility>
 
+#include "common/check.h"
 #include "common/types.h"
-#include "core/redirector.h"
 
 namespace radar::core {
 
@@ -41,27 +45,14 @@ struct CreateObjResponse {
   bool created_new_copy = false;
 };
 
-/// The world as seen from one host's placement run. The driver implements
-/// this over the simulated platform; unit tests implement it directly.
-///
-/// CreateObj exchanges are modelled as synchronous RPCs: their round-trip
-/// (tens of milliseconds) is negligible against the 100-second placement
-/// interval, and the object-copy traffic itself is accounted separately by
-/// the driver's transfer hook.
+/// The world as seen from one host's placement round: the synchronous
+/// queries the round reads. Cluster answers them from the simulated
+/// platform, HostNode from relayed load reports, unit tests directly.
+/// Everything that changes another node's state goes through a
+/// PlacementIntent instead (see PlacementRound).
 class PlacementContext {
  public:
   virtual ~PlacementContext() = default;
-
-  /// Sends CreateObj(method, x, unit_load) from `from` to candidate `to`
-  /// and returns the candidate's verdict. On acceptance the implementation
-  /// must notify x's redirector of the new copy / affinity increment
-  /// before returning (Fig. 4's "notify x's redirector").
-  virtual CreateObjResponse CreateObjRpc(NodeId from, NodeId to,
-                                         CreateObjMethod method, ObjectId x,
-                                         double unit_load) = 0;
-
-  /// The redirector responsible for object x.
-  virtual Redirector& RedirectorFor(ObjectId x) = 0;
 
   /// Network distance in hops.
   virtual std::int32_t Distance(NodeId from, NodeId to) const = 0;
@@ -82,7 +73,29 @@ class PlacementContext {
   virtual double HostWeight(NodeId /*host*/) const { return 1.0; }
 };
 
-/// What one DecidePlacement run did (metrics / tests).
+/// One request a placement round makes of the platform. The round
+/// suspends on it and resumes with the platform's verdict (true = done).
+struct PlacementIntent {
+  enum class Kind : std::uint8_t {
+    /// Fig. 4's CreateObj(method, x, unit_load) to candidate `to`. The
+    /// verdict is the candidate's acceptance; on acceptance the platform
+    /// has notified x's redirector of the new copy or affinity unit.
+    kCreateObj,
+    /// Fig. 3's ReduceAffinity(x): the redirector lowers its record of the
+    /// source's replica from `affinity` by one unit or, at affinity 1,
+    /// arbitrates the drop of the replica. The verdict is true when the
+    /// redirector did so; the round then sheds the unit locally.
+    kReduceAffinity,
+  };
+  Kind kind = Kind::kCreateObj;
+  ObjectId x = kInvalidObject;
+  CreateObjMethod method = CreateObjMethod::kMigrate;  ///< kCreateObj
+  NodeId to = kInvalidNode;                            ///< kCreateObj
+  double unit_load = 0.0;                              ///< kCreateObj
+  int affinity = 0;  ///< kReduceAffinity: the source's affinity before
+};
+
+/// What one placement round did (metrics / tests).
 struct PlacementStats {
   int affinity_drops = 0;     ///< deletion-threshold affinity reductions
   int geo_migrations = 0;
@@ -96,6 +109,82 @@ struct PlacementStats {
     return affinity_drops + geo_migrations + geo_replications +
            offload_migrations + offload_replications;
   }
+
+  friend bool operator==(const PlacementStats&,
+                         const PlacementStats&) = default;
+};
+
+/// One host's placement round (Figs. 3-5) as a C++20 coroutine. The round
+/// runs eagerly from HostAgent::Placement until it needs the platform: it
+/// then suspends with intent() set, and whoever drives it resolves the
+/// intent — inline (Cluster, tests) or over the wire (HostNode) — and
+/// calls Resume with the verdict. done() rounds hold their stats().
+/// Destroying a suspended round abandons it. The frame is allocated once
+/// per round; suspending and resuming allocate nothing.
+class PlacementRound {
+ public:
+  struct promise_type {
+    PlacementIntent intent;
+    bool verdict = false;
+    PlacementStats stats;
+
+    PlacementRound get_return_object() {
+      return PlacementRound(
+          std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    std::suspend_never initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_value(const PlacementStats& s) { stats = s; }
+    void unhandled_exception() { std::terminate(); }
+  };
+
+  /// `co_await Ask{intent}` inside the round: publishes the intent,
+  /// suspends, and evaluates to the verdict passed to Resume.
+  struct Ask {
+    PlacementIntent intent;
+    promise_type* promise = nullptr;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<promise_type> h) noexcept {
+      promise = &h.promise();
+      promise->intent = intent;
+    }
+    bool await_resume() const noexcept { return promise->verdict; }
+  };
+
+  PlacementRound(PlacementRound&& other) noexcept
+      : handle_(std::exchange(other.handle_, {})) {}
+  ~PlacementRound() {
+    if (handle_) handle_.destroy();
+  }
+
+  bool done() const { return handle_.done(); }
+
+  /// What the suspended round waits on. Requires !done().
+  const PlacementIntent& intent() const {
+    RADAR_CHECK(!done());
+    return handle_.promise().intent;
+  }
+
+  /// Resumes the suspended round with the verdict on intent(); it runs to
+  /// its next intent or to completion. Requires !done().
+  void Resume(bool verdict) {
+    RADAR_CHECK(!done());
+    handle_.promise().verdict = verdict;
+    handle_.resume();
+  }
+
+  /// What the round did. Requires done().
+  const PlacementStats& stats() const {
+    RADAR_CHECK(done());
+    return handle_.promise().stats;
+  }
+
+ private:
+  explicit PlacementRound(std::coroutine_handle<promise_type> handle)
+      : handle_(handle) {}
+
+  std::coroutine_handle<promise_type> handle_;
 };
 
 }  // namespace radar::core

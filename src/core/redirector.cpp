@@ -276,6 +276,14 @@ bool Redirector::RequestDrop(ObjectId x, NodeId host) {
   return true;
 }
 
+bool Redirector::ReduceAffinity(ObjectId x, NodeId host, int affinity) {
+  if (affinity > 1) {
+    OnAffinityReduced(x, host, affinity - 1);
+    return true;
+  }
+  return RequestDrop(x, host);
+}
+
 int Redirector::PruneHost(NodeId host) {
   int pruned = 0;
   for (std::size_t i = 0; i < table_.size(); ++i) {

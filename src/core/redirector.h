@@ -103,6 +103,12 @@ class Redirector {
   /// of physical replicas.
   bool RequestDrop(ObjectId x, NodeId host);
 
+  /// Resolves a placement round's ReduceAffinity intent from `host`, whose
+  /// replica holds `affinity` units: above 1, lowers the record to
+  /// affinity - 1 (always granted); at 1, arbitrates the drop
+  /// (RequestDrop). Returns whether the unit was shed.
+  bool ReduceAffinity(ObjectId x, NodeId host, int affinity);
+
   // -- Fault reaction (src/fault drives these; no-ops in a perfect world) --
 
   /// Removes every replica recorded on `host` (it crashed). Fires

@@ -1,6 +1,7 @@
 #include "transport/host_node.h"
 
 #include <array>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -31,9 +32,10 @@ HostNode::HostNode(const NodeConfig& config, NodeId self, Transport* transport,
     : config_(config),
       transport_(transport),
       options_(std::move(options)),
-      agent_(self, config.num_nodes(), &options_.params) {
+      agent_(self, config.num_nodes(), &options_.params),
+      distance_(config.num_nodes()) {
   RADAR_CHECK_EQ(transport->self(), self);
-  RADAR_CHECK(config.At(self).role == NodeRole::kHost);
+  RADAR_CHECK(config.IsHost(self));
   agent_.set_weight(config.At(self).weight);
 }
 
@@ -127,7 +129,7 @@ void HostNode::OnFrame(NodeId from, const wire::DecodedFrame& frame) {
       break;
     case wire::MsgType::kPlacementStat: {
       const auto& stat = std::get<wire::PlacementStat>(frame.msg);
-      if (stat.host != agent_.self() && config_.Has(stat.host) &&
+      if (stat.host != agent_.self() && config_.IsHost(stat.host) &&
           stat.load >= 0.0 && stat.weight > 0.0) {
         peer_stats_[stat.host] = PeerStat{stat.load, stat.weight};
         ++counters_.stats_seen;
@@ -146,9 +148,11 @@ void HostNode::HandleRequest(NodeId from, std::uint64_t seq,
                              const wire::Request& req) {
   // Preference path of the response: this host, then the client's gateway
   // (real mode has no router database, so the path is the two endpoints).
+  // Only a host gateway joins it: every node on the path is a placement
+  // candidate, and a client or the redirector never answers a CreateObj.
   std::vector<NodeId> path;
   path.push_back(agent_.self());
-  if (config_.Has(req.gateway) && req.gateway != agent_.self()) {
+  if (config_.IsHost(req.gateway) && req.gateway != agent_.self()) {
     path.push_back(req.gateway);
   }
   const bool hosted =
@@ -184,41 +188,15 @@ void HostNode::HandleCreate(NodeId from, std::uint64_t seq,
 }
 
 void HostNode::HandleAck(NodeId from, const wire::Ack& ack) {
-  const auto it = pending_.find(ack.acked_seq);
-  if (it == pending_.end()) return;
-  const Pending pending = it->second;
-  pending_.erase(it);
-  if (pending.peer != from) return;
-  switch (pending.kind) {
-    case PendingKind::kCreateReplicate:
-      if (ack.accepted && agent_.HasObject(pending.object)) {
-        agent_.NoteReplicationShed(pending.object);
-        ++counters_.replicates_out;
-      }
-      break;
-    case PendingKind::kCreateMigrate:
-      if (ack.accepted) {
-        // The copy exists over there; ask the redirector whether this side
-        // may drop its own (it refuses when that would fall below the
-        // replica floor — then both copies simply live on).
-        const std::uint64_t seq = transport_->Send(
-            config_.redirector(),
-            wire::Migrate{pending.object, agent_.self(), pending.peer, 0.0});
-        pending_.emplace(seq, Pending{PendingKind::kDropRequest,
-                                      pending.object, config_.redirector()});
-      }
-      break;
-    case PendingKind::kDropRequest:
-      if (ack.accepted && agent_.HasObject(pending.object)) {
-        agent_.DropReplica(pending.object);
-        WalAppend(kWalDrop, pending.object, 0);
-        ++counters_.drops_granted;
-        ++counters_.migrates_out;
-      } else {
-        ++counters_.drops_refused;
-      }
-      break;
+  // Only the awaited peer's answer to the awaited frame resumes the round;
+  // anything else (an answer to a Replicate note, a stray seq) is ignored.
+  if (awaiting_peer_ == kInvalidNode || from != awaiting_peer_ ||
+      ack.acked_seq != awaiting_seq_) {
+    return;
   }
+  awaiting_peer_ = kInvalidNode;
+  Settle(ack.accepted);
+  Drive();
 }
 
 void HostNode::OnPeerUp(NodeId peer) {
@@ -227,10 +205,13 @@ void HostNode::OnPeerUp(NodeId peer) {
 
 void HostNode::OnPeerDown(NodeId peer) {
   peer_stats_.erase(peer);
-  // Outstanding exchanges with the dead peer resolve as refusals: for a
-  // migrate that means keeping our copy — the conservative side.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    it = it->second.peer == peer ? pending_.erase(it) : std::next(it);
+  // The exchange in flight with the dead peer resolves as a refusal: for a
+  // CreateObj or a drop that means keeping our copy — the conservative
+  // side. A late answer carries a seq nobody awaits.
+  if (awaiting_peer_ == peer) {
+    awaiting_peer_ = kInvalidNode;
+    Settle(false);
+    Drive();
   }
 }
 
@@ -251,69 +232,106 @@ void HostNode::OnTick() {
             static_cast<std::uint32_t>(agent_.NumObjects())});
   }
   if (now >= next_placement_at_) {
-    MaybeOffload();
+    // A round still waiting on an exchange keeps the host: the next one
+    // starts at the next interval after it completes.
+    if (!round_) {
+      round_.emplace(agent_.Placement(*this, now));
+      Drive();
+    }
     next_placement_at_ = now + options_.params.placement_interval;
   }
 }
 
-void HostNode::MaybeOffload() {
-  const core::ProtocolParams& params = options_.params;
-  if (agent_.AdmissionLoad() / agent_.weight() <= params.high_watermark) {
+void HostNode::Drive() {
+  while (!round_->done()) {
+    const core::PlacementIntent& intent = round_->intent();
+    const NodeId self = agent_.self();
+    const bool create =
+        intent.kind == core::PlacementIntent::Kind::kCreateObj;
+    const NodeId peer = create ? intent.to : config_.redirector();
+    if (!transport_->IsPeerUp(peer)) {
+      Settle(false);  // no exchange with a peer that is down
+      continue;
+    }
+    if (!create && intent.affinity > 1) {
+      // The redirector lowers its record on receipt and never refuses, so
+      // the Announce needs no answer.
+      transport_->Send(peer,
+                       wire::Announce{intent.x, self, intent.affinity - 1});
+      Settle(true);
+      continue;
+    }
+    wire::Message msg;
+    if (!create) {
+      msg = wire::Migrate{intent.x, self, kInvalidNode, 0.0};  // may I drop?
+    } else if (intent.method == core::CreateObjMethod::kMigrate) {
+      msg = wire::Migrate{intent.x, self, peer, intent.unit_load};
+    } else {
+      msg = wire::Replicate{intent.x, self, peer, intent.unit_load};
+    }
+    awaiting_seq_ = transport_->Send(peer, msg);
+    awaiting_peer_ = peer;
     return;
   }
-  // Least-loaded reachable peer below the low watermark (normalized;
-  // std::map order makes the tie-break the lowest node id).
-  NodeId recipient = kInvalidNode;
-  double best = params.low_watermark;
+  const core::PlacementStats& stats = round_->stats();
+  ++counters_.placement_rounds;
+  counters_.affinity_drops += static_cast<std::uint64_t>(stats.affinity_drops);
+  counters_.geo_migrations += static_cast<std::uint64_t>(stats.geo_migrations);
+  counters_.geo_replications +=
+      static_cast<std::uint64_t>(stats.geo_replications);
+  counters_.offload_migrations +=
+      static_cast<std::uint64_t>(stats.offload_migrations);
+  counters_.offload_replications +=
+      static_cast<std::uint64_t>(stats.offload_replications);
+  last_round_ = stats;
+  round_.reset();
+}
+
+void HostNode::Settle(bool verdict) {
+  const core::PlacementIntent& intent = round_->intent();
+  if (verdict && intent.kind == core::PlacementIntent::Kind::kReduceAffinity) {
+    // The round sheds one unit of whatever the affinity is now.
+    const int after = agent_.Affinity(intent.x) - 1;
+    if (after > 0) {
+      WalAppend(kWalCreate, intent.x, after);
+    } else {
+      WalAppend(kWalDrop, intent.x, 0);
+    }
+  }
+  round_->Resume(verdict);
+}
+
+std::int32_t HostNode::Distance(NodeId from, NodeId to) const {
+  return distance_.Distance(from, to);
+}
+
+NodeId HostNode::FindOffloadRecipient(NodeId self) {
+  // Cluster's directory rule over the relayed reports: the least-loaded
+  // reachable host under the low watermark (std::map order makes the
+  // tie-break the lowest node id).
+  NodeId best = kInvalidNode;
+  double best_load = options_.params.low_watermark;
   for (const auto& [peer, stat] : peer_stats_) {
-    const double normalized = stat.load / stat.weight;
-    if (normalized < best && transport_->IsPeerUp(peer)) {
-      best = normalized;
-      recipient = peer;
+    if (peer == self || !transport_->IsPeerUp(peer)) continue;
+    const double load = stat.load / stat.weight;
+    if (load < best_load) {
+      best_load = load;
+      best = peer;
     }
   }
-  if (recipient == kInvalidNode) return;
-  // Hottest object without an in-flight relocation (ties: lowest id).
-  ObjectId victim = kInvalidObject;
-  double victim_load = 0.0;
-  for (const ObjectId x : agent_.Objects()) {
-    bool busy = false;
-    for (const auto& [seq, pending] : pending_) {
-      if (pending.object == x) {
-        busy = true;
-        break;
-      }
-    }
-    if (busy) continue;
-    const double load = agent_.ObjectLoad(x);
-    if (load > victim_load) {
-      victim_load = load;
-      victim = x;
-    }
-  }
-  if (victim == kInvalidObject) return;
-  // Fig. 5's branch: modest unit rates migrate, hot objects replicate
-  // (migrating a hot object could undo a previous replication). v1 only
-  // migrates sole-affinity replicas — a partial (affinity-unit) migration
-  // would need an affinity-reduction wire message.
-  const double unit_rate =
-      agent_.UnitAccessRate(victim, transport_->Now());
-  const bool migrate = unit_rate <= params.replication_threshold_m &&
-                       agent_.Affinity(victim) == 1;
-  const double unit_load = agent_.UnitLoad(victim);
-  std::uint64_t seq = 0;
-  if (migrate) {
-    seq = transport_->Send(
-        recipient, wire::Migrate{victim, agent_.self(), recipient, unit_load});
-    pending_.emplace(seq,
-                     Pending{PendingKind::kCreateMigrate, victim, recipient});
-  } else {
-    seq = transport_->Send(
-        recipient,
-        wire::Replicate{victim, agent_.self(), recipient, unit_load});
-    pending_.emplace(seq,
-                     Pending{PendingKind::kCreateReplicate, victim, recipient});
-  }
+  return best;
+}
+
+double HostNode::ReportedLoad(NodeId host) const {
+  const auto it = peer_stats_.find(host);
+  return it != peer_stats_.end()
+             ? it->second.load / it->second.weight
+             : std::numeric_limits<double>::infinity();
+}
+
+double HostNode::HostWeight(NodeId host) const {
+  const auto it = peer_stats_.find(host);
+  return it != peer_stats_.end() ? it->second.weight : 1.0;
 }
 
 }  // namespace radar::transport

@@ -80,6 +80,9 @@ class NodeConfig {
   bool Has(NodeId id) const {
     return id >= 0 && id < num_nodes();
   }
+  bool IsHost(NodeId id) const {
+    return Has(id) && At(id).role == NodeRole::kHost;
+  }
 
   /// The (sole) redirector node.
   NodeId redirector() const { return redirector_; }

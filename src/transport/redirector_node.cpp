@@ -22,6 +22,9 @@ RedirectorNode::RedirectorNode(const NodeConfig& config, Transport* transport,
 }
 
 void RedirectorNode::OnFrame(NodeId from, const wire::DecodedFrame& frame) {
+  // Replica-set and load frames speak for a host; from any other peer they
+  // would register a client as a replica holder or relay its "load".
+  const bool from_host = config_.IsHost(from);
   switch (wire::TypeOf(frame.msg)) {
     case wire::MsgType::kRequest: {
       const auto& req = std::get<wire::Request>(frame.msg);
@@ -43,22 +46,27 @@ void RedirectorNode::OnFrame(NodeId from, const wire::DecodedFrame& frame) {
       // accepting a CreateObj — recorded after the fact, so the registry
       // stays a subset of physical copies.
       const auto& note = std::get<wire::Replicate>(frame.msg);
-      if (note.object >= 0 && redirector_.KnowsObject(note.object) &&
-          note.to == from) {
+      const bool recorded = from_host && note.object >= 0 &&
+                            redirector_.KnowsObject(note.object) &&
+                            note.to == from;
+      if (recorded) {
         redirector_.OnReplicaCreated(note.object, note.to);
         ++counters_.creates_recorded;
       }
-      transport_->Send(from, wire::Ack{frame.seq, true, false});
+      transport_->Send(from, wire::Ack{frame.seq, recorded, false});
       break;
     }
     case wire::MsgType::kMigrate: {
-      // Drop arbitration: `from` migrated its copy away and asks to drop.
+      // Drop arbitration: `from` asks to drop its sole-affinity copy. The
+      // record may be gone (pruned while the host's link was down, and the
+      // request drained from its spool before the re-announce) or hold
+      // more units than the host meant to shed: both are refusals.
       const auto& req = std::get<wire::Migrate>(frame.msg);
-      bool granted = false;
-      if (req.object >= 0 && redirector_.KnowsObject(req.object) &&
-          req.from == from) {
-        granted = redirector_.RequestDrop(req.object, from);
-      }
+      const bool granted = from_host && req.object >= 0 &&
+                           redirector_.KnowsObject(req.object) &&
+                           req.from == from &&
+                           redirector_.AffinityOf(req.object, from) == 1 &&
+                           redirector_.RequestDrop(req.object, from);
       if (granted) {
         ++counters_.drops_granted;
       } else {
@@ -68,12 +76,21 @@ void RedirectorNode::OnFrame(NodeId from, const wire::DecodedFrame& frame) {
       break;
     }
     case wire::MsgType::kAnnounce: {
+      // "host holds `affinity` units of x": restores an unrecorded replica
+      // (a re-announce after a restart) and lowers a record above it (a
+      // placement round shed a unit). Either is idempotent; raising is
+      // left to Replicate notes.
       const auto& ann = std::get<wire::Announce>(frame.msg);
-      if (ann.object >= 0 && redirector_.KnowsObject(ann.object) &&
-          ann.host == from && ann.affinity >= 1 &&
-          redirector_.AffinityOf(ann.object, ann.host) == 0) {
-        redirector_.RestoreReplica(ann.object, ann.host, ann.affinity);
+      const bool valid = from_host && ann.host == from && ann.affinity >= 1 &&
+                         ann.object >= 0 &&
+                         redirector_.KnowsObject(ann.object);
+      const int recorded = valid ? redirector_.AffinityOf(ann.object, from) : 0;
+      if (valid && recorded == 0) {
+        redirector_.RestoreReplica(ann.object, from, ann.affinity);
         ++counters_.announces_restored;
+      } else if (valid && ann.affinity < recorded) {
+        redirector_.OnAffinityReduced(ann.object, from, ann.affinity);
+        ++counters_.affinity_reductions;
       } else {
         ++counters_.announces_ignored;
       }
@@ -81,8 +98,7 @@ void RedirectorNode::OnFrame(NodeId from, const wire::DecodedFrame& frame) {
     }
     case wire::MsgType::kPlacementStat: {
       const auto& stat = std::get<wire::PlacementStat>(frame.msg);
-      if (stat.host != from) break;
-      host_stats_[from] = stat;
+      if (!from_host || stat.host != from) break;
       // The Sec. 4.2.2 load exchange, hub-and-spoke: relay to every other
       // host. A down host's relays spool and drain on its reconnect.
       for (const NodeId peer : config_.hosts()) {
@@ -101,13 +117,12 @@ void RedirectorNode::OnFrame(NodeId from, const wire::DecodedFrame& frame) {
 }
 
 void RedirectorNode::OnPeerDown(NodeId peer) {
-  if (!config_.Has(peer) || config_.At(peer).role != NodeRole::kHost) return;
+  if (!config_.IsHost(peer)) return;
   const int pruned = redirector_.PruneHost(peer);
   if (pruned > 0) {
     ++counters_.hosts_pruned;
     counters_.replicas_pruned += static_cast<std::uint64_t>(pruned);
   }
-  host_stats_.erase(peer);
 }
 
 std::int32_t RedirectorNode::CountObjectsWithoutReplica() const {

@@ -3,8 +3,10 @@
 // Wraps one core::Redirector — the same Fig. 2 chooser and replica
 // registry the simulator uses — behind the Transport seam. Real-mode v1
 // is hub-and-spoke: this node answers client redirect queries, arbitrates
-// replica drops, relays host load reports (the Sec. 4.2.2 exchange), and
-// tracks replica liveness through connection state:
+// replica drops, applies affinity reductions, relays host load reports
+// (the Sec. 4.2.2 exchange), and tracks replica liveness through
+// connection state. Replica-set and load frames (Replicate, Migrate,
+// Announce, PlacementStat) count only from host-role peers:
 //
 //   - a host disconnecting is treated as a crash: its replicas are pruned
 //     from the registry (PruneHost) so no client is redirected into a
@@ -12,12 +14,14 @@
 //     zero live replicas,
 //   - a host reconnecting re-announces its disk-resident replica set
 //     (kAnnounce); announcements are idempotent (RestoreReplica only when
-//     the replica is not recorded), so a flapping connection never
-//     double-counts affinity.
+//     the replica is not recorded, OnAffinityReduced only when the
+//     announced affinity is below the record), so a flapping connection
+//     never double-counts affinity,
+//   - a drop request is granted only for a recorded sole-affinity replica
+//     and only above the replica floor; anything else is refused.
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "core/redirector.h"
 #include "transport/node_config.h"
@@ -43,6 +47,7 @@ class RedirectorNode final : public Handler {
     std::uint64_t drops_refused = 0;
     std::uint64_t announces_restored = 0;
     std::uint64_t announces_ignored = 0;
+    std::uint64_t affinity_reductions = 0;
     std::uint64_t stats_relayed = 0;
     std::uint64_t hosts_pruned = 0;
     std::uint64_t replicas_pruned = 0;
@@ -70,7 +75,6 @@ class RedirectorNode final : public Handler {
   Options options_;
   CliqueDistance distance_;
   core::Redirector redirector_;
-  std::map<NodeId, wire::PlacementStat> host_stats_;
   Counters counters_;
   bool shutdown_ = false;
 };

@@ -16,16 +16,20 @@
 //   kReplicate      host → host           Fig. 4 CreateObj(REPLICATE)
 //                   host → redirector     "I created a replica of x"
 //   kMigrate        host → host           Fig. 4 CreateObj(MIGRATE)
-//                   host → redirector     "may the source drop x?" (the
-//                                         redirector-arbitrated drop)
+//                   host → redirector     "may I drop my sole-affinity
+//                                         copy of x?" (the redirector-
+//                                         arbitrated drop of Fig. 3)
 //   kAck            any → any        verdict for the frame with seq
 //                                    acked_seq (accepted / created flags)
 //   kPlacementStat  host → redirector     periodic load report
 //                   redirector → host     relayed reports (the Sec. 4.2.2
 //                                         load-exchange, hub-and-spoke)
-//   kAnnounce       host → redirector     replica re-registration after a
-//                                         restart (redirector restores,
-//                                         never double-counts)
+//   kAnnounce       host → redirector     "I hold x at affinity a": re-
+//                                         registers a replica after a
+//                                         restart, and lowers the record
+//                                         when a placement round shed an
+//                                         affinity unit (idempotent; never
+//                                         raises, never double-counts)
 //   kShutdown       any → any        orderly stop (CI harness control)
 #pragma once
 
@@ -105,7 +109,8 @@ struct Replicate {
 };
 
 /// Fig. 4 CreateObj(MIGRATE) host→host, and the drop-arbitration request
-/// host→redirector ("to holds x now; may from drop its copy?").
+/// host→redirector ("may `from` drop its sole-affinity copy of x?"; `to`
+/// is unused there).
 struct Migrate {
   ObjectId object = kInvalidObject;
   NodeId from = kInvalidNode;
@@ -135,10 +140,12 @@ struct PlacementStat {
   friend bool operator==(const PlacementStat&, const PlacementStat&) = default;
 };
 
-/// Replica re-registration after a host restart: the redirector restores
-/// the replica if it is not recorded (Redirector::RestoreReplica) and
-/// ignores it otherwise — announcing is idempotent, unlike a Replicate
-/// notification (which increments affinity on repeat).
+/// "`host` holds x at `affinity` units", host→redirector. The redirector
+/// restores an unrecorded replica (Redirector::RestoreReplica: a
+/// re-announce after a restart), lowers a record above `affinity`
+/// (OnAffinityReduced: a placement round shed a unit), and ignores it
+/// otherwise — announcing is idempotent, unlike a Replicate notification
+/// (which increments affinity on repeat).
 struct Announce {
   ObjectId object = kInvalidObject;
   NodeId host = kInvalidNode;

@@ -187,6 +187,37 @@ TEST_F(ClusterTest, EndToEndMigrationViaPlacement) {
   cluster_.CheckRedirectorSubsetInvariant();
 }
 
+TEST(ClusterReplicaFloorTest, OffloadMigrationKeepsCopyWhenFloorRefusesDrop) {
+  // Replica floor 2: object 0 lives on both hosts, so the redirector refuses
+  // any drop of it. Host 0 runs hot on object 1 and offloads to host 1;
+  // object 0 ranks first and is load-migrated there. Host 1 already holds
+  // it, so accepting only raises its affinity, and the floor then refuses
+  // host 0's drop — both copies live on, as after a geo-migration whose
+  // drop is refused.
+  MatrixDistanceOracle oracle(2);
+  oracle.Set(0, 1, 1);
+  Cluster cluster(2, oracle, ProtocolParams{}, {0});
+  cluster.redirectors().At(0).set_min_replicas(2);
+  cluster.PlaceInitialObject(0, 0);
+  ASSERT_TRUE(
+      cluster.CreateObjRpc(0, 1, CreateObjMethod::kReplicate, 0, 0.0)
+          .accepted);
+  cluster.PlaceInitialObject(1, 0);
+  for (int i = 0; i < 200 * 20; ++i) cluster.host(0).RecordServiced(1, {0});
+  cluster.TickMeasurement(0, SecondsToSim(20.0));  // 200 req/s > hw
+
+  const PlacementStats stats = cluster.RunPlacement(0, SecondsToSim(100.0));
+  EXPECT_TRUE(stats.ran_offload);
+  EXPECT_EQ(stats.affinity_drops, 0);  // the floor refused the cold drop
+  EXPECT_EQ(stats.offload_migrations, 1);
+  EXPECT_EQ(stats.offload_replications, 1);
+  EXPECT_TRUE(cluster.host(0).HasObject(0));
+  EXPECT_EQ(cluster.host(1).Affinity(0), 2);
+  EXPECT_EQ(cluster.redirectors().For(0).ReplicaCount(0), 2);
+  EXPECT_EQ(cluster.redirectors().For(0).AffinityOf(0, 1), 2);
+  cluster.CheckRedirectorSubsetInvariant();
+}
+
 TEST(ClusterDeathTest, SelfRpcAborts) {
   MatrixDistanceOracle oracle(2);
   Cluster cluster(2, oracle, ProtocolParams{}, {0});

@@ -29,7 +29,7 @@ TEST(EdgeCaseTest, ZeroDemandPlacementRoundIsInert) {
   ctx.redirector.RegisterObject(1, 0);
   // No requests at all: unit rate 0 < u, but the sole replica is
   // protected; nothing else may happen.
-  const PlacementStats stats = agent.RunPlacement(ctx, SecondsToSim(100.0));
+  const PlacementStats stats = ctx.RunPlacement(agent, SecondsToSim(100.0));
   EXPECT_EQ(stats.TotalRelocations(), 0);
   EXPECT_TRUE(agent.HasObject(1));
   EXPECT_TRUE(ctx.calls.empty());
@@ -43,7 +43,7 @@ TEST(EdgeCaseTest, PlacementAtEpochStartIsSkipped) {
   HostAgent agent(0, 4, &params);
   agent.AddInitialReplica(1);
   ctx.redirector.RegisterObject(1, 0);
-  const PlacementStats stats = agent.RunPlacement(ctx, 0);
+  const PlacementStats stats = ctx.RunPlacement(agent, 0);
   EXPECT_EQ(stats.TotalRelocations(), 0);
 }
 
@@ -56,7 +56,7 @@ TEST(EdgeCaseTest, DeletionThresholdZeroNeverDrops) {
   ctx.redirector.RegisterObject(1, 0);
   ctx.redirector.OnReplicaCreated(1, 3);
   agent.RecordServiced(1, {0});  // tiny but nonzero rate
-  const PlacementStats stats = agent.RunPlacement(ctx, SecondsToSim(100.0));
+  const PlacementStats stats = ctx.RunPlacement(agent, SecondsToSim(100.0));
   EXPECT_EQ(stats.affinity_drops, 0);
 }
 
@@ -68,7 +68,7 @@ TEST(EdgeCaseTest, MigrRatioOneDisablesMigration) {
   agent.AddInitialReplica(1);
   ctx.redirector.RegisterObject(1, 0);
   for (int i = 0; i < 1000; ++i) agent.RecordServiced(1, {0, 3});
-  const PlacementStats stats = agent.RunPlacement(ctx, SecondsToSim(100.0));
+  const PlacementStats stats = ctx.RunPlacement(agent, SecondsToSim(100.0));
   EXPECT_EQ(stats.geo_migrations, 0);
   // Replication still proceeds (fraction 1.0 > repl_ratio).
   EXPECT_EQ(stats.geo_replications, 1);
@@ -103,7 +103,6 @@ TEST(EdgeCaseTest, OffloadRecipientEqualToBestCandidateStillWorks) {
   for (ObjectId x = 1; x <= 3; ++x) {
     agent.AddInitialReplica(x);
     ctx.redirector.RegisterObject(x, 0);
-    ctx.Preload(0, x);
   }
   for (int i = 0; i < 700; ++i) {
     agent.RecordServiced(1, {0, 2});
@@ -112,7 +111,7 @@ TEST(EdgeCaseTest, OffloadRecipientEqualToBestCandidateStillWorks) {
   }
   agent.OnMeasurementTick(SecondsToSim(20.0));  // 105 req/s > hw
   ctx.offload_recipient = 2;
-  const PlacementStats stats = agent.RunPlacement(ctx, SecondsToSim(100.0));
+  const PlacementStats stats = ctx.RunPlacement(agent, SecondsToSim(100.0));
   // Object 1 geo-migrates to 2 (fraction 1.0); offload then also sheds
   // toward 2 until the recipient bound fills.
   EXPECT_EQ(stats.geo_migrations, 1);

@@ -1,10 +1,13 @@
 // A scriptable PlacementContext for unit-testing HostAgent in isolation.
+// It answers the round's queries from its fields and resolves its intents
+// inline (RunPlacement).
 #pragma once
 
 #include <set>
 #include <vector>
 
 #include "core/distance.h"
+#include "core/host_agent.h"
 #include "core/protocol.h"
 #include "core/redirector.h"
 
@@ -24,19 +27,28 @@ class FakeContext : public PlacementContext {
                        double distribution_constant = 2.0)
       : oracle(num_nodes), redirector(oracle, distribution_constant) {}
 
-  CreateObjResponse CreateObjRpc(NodeId from, NodeId to,
-                                 CreateObjMethod method, ObjectId x,
-                                 double unit_load) override {
-    calls.push_back(Call{from, to, method, x, unit_load});
-    if (!accept_all && accepting.count(to) == 0) return {};
-    const bool copied = holdings[static_cast<std::size_t>(to)].insert(x).second;
-    // Mirror Cluster's behavior: the redirector learns of the new copy
-    // before the RPC returns.
-    redirector.OnReplicaCreated(x, to);
-    return CreateObjResponse{true, copied};
+  /// Drives one placement round of `agent`, resolving each intent inline
+  /// the way Cluster does: a CreateObj through the scripted acceptance
+  /// (the redirector learns of the copy before the verdict returns), a
+  /// ReduceAffinity at the redirector.
+  PlacementStats RunPlacement(HostAgent& agent, SimTime now) {
+    PlacementRound round = agent.Placement(*this, now);
+    while (!round.done()) {
+      const PlacementIntent& i = round.intent();
+      round.Resume(i.kind == PlacementIntent::Kind::kCreateObj
+                       ? CreateObj(agent.self(), i)
+                       : redirector.ReduceAffinity(i.x, agent.self(),
+                                                   i.affinity));
+    }
+    return round.stats();
   }
 
-  Redirector& RedirectorFor(ObjectId) override { return redirector; }
+  bool CreateObj(NodeId from, const PlacementIntent& i) {
+    calls.push_back(Call{from, i.to, i.method, i.x, i.unit_load});
+    if (!accept_all && accepting.count(i.to) == 0) return false;
+    redirector.OnReplicaCreated(i.x, i.to);
+    return true;
+  }
 
   std::int32_t Distance(NodeId from, NodeId to) const override {
     return oracle.Distance(from, to);
@@ -46,11 +58,6 @@ class FakeContext : public PlacementContext {
 
   double ReportedLoad(NodeId) const override { return reported_load; }
 
-  /// Registers holdings for nodes that "already have" objects.
-  void Preload(NodeId node, ObjectId x) {
-    holdings[static_cast<std::size_t>(node)].insert(x);
-  }
-
   MatrixDistanceOracle oracle;
   Redirector redirector;
   std::vector<Call> calls;
@@ -58,7 +65,6 @@ class FakeContext : public PlacementContext {
   std::set<NodeId> accepting;  // consulted when accept_all == false
   NodeId offload_recipient = kInvalidNode;
   double reported_load = 0.0;
-  std::vector<std::set<ObjectId>> holdings{64};
 };
 
 }  // namespace radar::core::testing

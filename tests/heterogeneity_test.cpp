@@ -67,7 +67,7 @@ TEST(WeightedHostTest, OffloadModeUsesNormalizedLoad) {
   // 120 req/s absolute = 60 normalized < hw -> not offloading.
   for (int i = 0; i < 2400; ++i) agent.RecordServiced(1, {0});
   agent.OnMeasurementTick(SecondsToSim(20.0));
-  const PlacementStats stats = agent.RunPlacement(ctx, SecondsToSim(100.0));
+  const PlacementStats stats = ctx.RunPlacement(agent, SecondsToSim(100.0));
   EXPECT_FALSE(stats.offloading_mode);
 }
 
@@ -139,7 +139,7 @@ TEST(StorageTest, DropFreesStorage) {
   ctx.redirector.OnReplicaCreated(1, 3);  // second replica elsewhere
   EXPECT_TRUE(agent.StorageFull());
   // The cold object is dropped at the next placement round...
-  const PlacementStats stats = agent.RunPlacement(ctx, SecondsToSim(100.0));
+  const PlacementStats stats = ctx.RunPlacement(agent, SecondsToSim(100.0));
   EXPECT_EQ(stats.affinity_drops, 1);
   EXPECT_FALSE(agent.StorageFull());
   // ...and the slot is usable again.

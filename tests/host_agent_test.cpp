@@ -217,7 +217,7 @@ TEST_F(HostAgentTest, OffloadLoadLowerBoundedByShedding) {
   // Run a placement round: load 100 > hw, offload sheds toward node 5.
   ctx.offload_recipient = 5;
   ctx.reported_load = 0.0;
-  const PlacementStats stats = agent_.RunPlacement(ctx, SecondsToSim(100.0));
+  const PlacementStats stats = ctx.RunPlacement(agent_, SecondsToSim(100.0));
   EXPECT_TRUE(stats.offloading_mode);
   EXPECT_GT(stats.offload_replications + stats.offload_migrations, 0);
   EXPECT_LT(agent_.OffloadLoad(), 100.0);

@@ -34,7 +34,6 @@ class PlacementTest : public ::testing::Test {
   void Install(ObjectId x) {
     agent_.AddInitialReplica(x);
     ctx_.redirector.RegisterObject(x, 0);
-    ctx_.Preload(0, x);
   }
 
   ProtocolParams params_;
@@ -48,7 +47,7 @@ TEST_F(PlacementTest, ColdAffinityUnitIsDropped) {
   ctx_.redirector.OnReplicaCreated(1, 5);
   // 1 request in 100 s = 0.01 req/s < u = 0.03 -> drop.
   Service(1, {0}, 1);
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.affinity_drops, 1);
   EXPECT_FALSE(agent_.HasObject(1));
   EXPECT_EQ(ctx_.redirector.ReplicaCount(1), 1);
@@ -57,7 +56,7 @@ TEST_F(PlacementTest, ColdAffinityUnitIsDropped) {
 TEST_F(PlacementTest, LastReplicaSurvivesDeletionThreshold) {
   Install(1);
   Service(1, {0}, 1);
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.affinity_drops, 0);
   EXPECT_TRUE(agent_.HasObject(1));
 }
@@ -69,7 +68,7 @@ TEST_F(PlacementTest, AffinityAboveOneReducedNotDropped) {
                   .accepted);
   ctx_.redirector.OnReplicaCreated(1, 0);  // affinity 2 at the redirector
   Service(1, {0}, 1);
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.affinity_drops, 1);
   EXPECT_TRUE(agent_.HasObject(1));
   EXPECT_EQ(agent_.Affinity(1), 1);
@@ -81,7 +80,7 @@ TEST_F(PlacementTest, GeoMigrationToQualifyingCandidate) {
   // 70 of 100 requests pass through node 3 (> MIGR_RATIO = 0.6).
   Service(1, {0, 3, 5}, 70);
   Service(1, {0}, 30);
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.geo_migrations, 1);
   ASSERT_EQ(ctx_.calls.size(), 1u);
   // Node 5 also has 70% but is farther -> preferred over node 3.
@@ -97,7 +96,7 @@ TEST_F(PlacementTest, NoMigrationBelowMigrRatio) {
   // 55% through node 5: below the 60% threshold.
   Service(1, {0, 5}, 55);
   Service(1, {0}, 45);
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.geo_migrations, 0);
   EXPECT_TRUE(agent_.HasObject(1));
 }
@@ -107,7 +106,7 @@ TEST_F(PlacementTest, MigrationFallsBackToNextCandidateOnRefusal) {
   Service(1, {0, 3, 5}, 100);
   ctx_.accept_all = false;
   ctx_.accepting = {3};  // farthest (5) refuses, next (3) accepts
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.geo_migrations, 1);
   ASSERT_EQ(ctx_.calls.size(), 2u);
   EXPECT_EQ(ctx_.calls[0].to, 5);
@@ -121,7 +120,7 @@ TEST_F(PlacementTest, GeoReplicationAboveThreshold) {
   // on 30% of paths (> REPL_RATIO = 1/6) but below MIGR_RATIO.
   Service(1, {0, 4}, 30);
   Service(1, {0}, 70);
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.geo_migrations, 0);
   EXPECT_EQ(stats.geo_replications, 1);
   ASSERT_EQ(ctx_.calls.size(), 1u);
@@ -136,7 +135,7 @@ TEST_F(PlacementTest, NoReplicationBelowAccessThreshold) {
   // 15 req / 100 s = 0.15 req/s < m = 0.18; node 4 fraction 33% though.
   Service(1, {0, 4}, 5);
   Service(1, {0}, 10);
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.geo_replications, 0);
 }
 
@@ -146,7 +145,7 @@ TEST_F(PlacementTest, NoReplicationWithoutQualifyingCandidate) {
   Service(1, {0, 2}, 10);
   Service(1, {0, 3}, 10);
   Service(1, {0}, 80);
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.geo_replications, 0);
 }
 
@@ -155,7 +154,7 @@ TEST_F(PlacementTest, MigratedObjectIsNotAlsoReplicated) {
   // Qualifies for both migration (70%) and replication (hot).
   Service(1, {0, 5}, 700);
   Service(1, {0}, 300);
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.geo_migrations, 1);
   EXPECT_EQ(stats.geo_replications, 0);
 }
@@ -164,7 +163,7 @@ TEST_F(PlacementTest, ReplicationPrefersFarthestQualifier) {
   Install(1);
   Service(1, {0, 2, 6}, 30);  // both 2 and 6 at 30%
   Service(1, {0}, 70);
-  agent_.RunPlacement(ctx_, kRound);
+  ctx_.RunPlacement(agent_, kRound);
   ASSERT_FALSE(ctx_.calls.empty());
   EXPECT_EQ(ctx_.calls[0].to, 6);
 }
@@ -172,7 +171,7 @@ TEST_F(PlacementTest, ReplicationPrefersFarthestQualifier) {
 TEST_F(PlacementTest, AccessCountsResetAfterRound) {
   Install(1);
   Service(1, {0, 4}, 50);
-  agent_.RunPlacement(ctx_, kRound);
+  ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(agent_.AccessCount(1, 0), 0u);
   EXPECT_EQ(agent_.AccessCount(1, 4), 0u);
 }
@@ -181,12 +180,12 @@ TEST_F(PlacementTest, SecondEpochJudgedOnFreshCounts) {
   Install(1);
   Service(1, {0, 5}, 100);
   ctx_.accept_all = false;  // first round: migration refused everywhere
-  EXPECT_EQ(agent_.RunPlacement(ctx_, kRound).geo_migrations, 0);
+  EXPECT_EQ(ctx_.RunPlacement(agent_, kRound).geo_migrations, 0);
   ctx_.accept_all = true;
   // Second epoch: only local traffic -> no candidate, no migration.
   Service(1, {0}, 100);
   const PlacementStats stats =
-      agent_.RunPlacement(ctx_, 2 * kRound);
+      ctx_.RunPlacement(agent_, 2 * kRound);
   EXPECT_EQ(stats.geo_migrations, 0);
   EXPECT_TRUE(agent_.HasObject(1));
 }
@@ -196,7 +195,7 @@ TEST_F(PlacementTest, OffloadingModeEntersAboveHighWatermark) {
   Service(1, {0}, 2000);
   agent_.OnMeasurementTick(SecondsToSim(20.0));  // 100 req/s > hw
   ctx_.offload_recipient = 7;
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_TRUE(stats.offloading_mode);
 }
 
@@ -205,17 +204,17 @@ TEST_F(PlacementTest, OffloadingModePersistsUntilBelowLowWatermark) {
   Service(1, {0}, 2000);
   agent_.OnMeasurementTick(SecondsToSim(20.0));
   ctx_.offload_recipient = kInvalidNode;  // nothing to shed to
-  agent_.RunPlacement(ctx_, kRound);
+  ctx_.RunPlacement(agent_, kRound);
   EXPECT_TRUE(agent_.offloading());
   // Load falls to 85 (between lw=80 and hw=90): still offloading.
   Service(1, {0}, 1700);
   agent_.OnMeasurementTick(SecondsToSim(40.0));
-  agent_.RunPlacement(ctx_, 2 * kRound);
+  ctx_.RunPlacement(agent_, 2 * kRound);
   EXPECT_TRUE(agent_.offloading());
   // Load falls below lw: mode exits.
   Service(1, {0}, 100);
   agent_.OnMeasurementTick(SecondsToSim(60.0));
-  agent_.RunPlacement(ctx_, 3 * kRound);
+  ctx_.RunPlacement(agent_, 3 * kRound);
   EXPECT_FALSE(agent_.offloading());
 }
 
@@ -229,7 +228,7 @@ TEST_F(PlacementTest, OffloadSkippedWhenGeoPassShedEnough) {
   agent_.OnMeasurementTick(SecondsToSim(20.0));
   ASSERT_GT(agent_.measured_load(), params_.high_watermark);
   ctx_.offload_recipient = 7;
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.geo_migrations, 1);
   EXPECT_FALSE(stats.ran_offload);
   // The migration's full decrease bound was debited from the estimate.
@@ -246,7 +245,7 @@ TEST_F(PlacementTest, OffloadComplementsInsufficientGeoPass) {
   Service(2, {0, 6}, 100);
   agent_.OnMeasurementTick(SecondsToSim(20.0));
   ctx_.offload_recipient = 7;
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.geo_migrations, 1);
   EXPECT_TRUE(stats.ran_offload);
   EXPECT_GT(stats.offload_replications, 0);
@@ -264,7 +263,7 @@ TEST_F(PlacementTest, OffloadReplicatesHotAndMigratesColdObjects) {
   ASSERT_GT(agent_.measured_load(), params_.high_watermark);
   ctx_.offload_recipient = 7;
   ctx_.reported_load = 10.0;
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_TRUE(stats.ran_offload);
   // Object 2 has the higher foreign fraction -> examined first, migrated
   // (unit rate <= m). Object 1 replicated (unit rate > m).
@@ -289,7 +288,7 @@ TEST_F(PlacementTest, OffloadStopsWhenRecipientEstimateFills) {
   agent_.OnMeasurementTick(SecondsToSim(20.0));  // 125 req/s
   ctx_.offload_recipient = 7;
   ctx_.reported_load = params_.low_watermark - 30.0;  // 50 req/s
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   // Each replication adds 4 * 25 = 100 to the recipient estimate, so only
   // one transfer fits before the estimate exceeds lw.
   EXPECT_EQ(stats.offload_replications, 1);
@@ -303,7 +302,7 @@ TEST_F(PlacementTest, OffloadAbortsOnRecipientRefusal) {
   agent_.OnMeasurementTick(SecondsToSim(20.0));
   ctx_.offload_recipient = 7;
   ctx_.accept_all = false;  // recipient refuses everything
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_TRUE(stats.ran_offload);
   EXPECT_EQ(stats.offload_migrations + stats.offload_replications, 0);
   EXPECT_EQ(ctx_.calls.size(), 1u);  // gave up after the first refusal
@@ -314,7 +313,7 @@ TEST_F(PlacementTest, OffloadWithoutRecipientDoesNothing) {
   Service(1, {0}, 2000);
   agent_.OnMeasurementTick(SecondsToSim(20.0));
   ctx_.offload_recipient = kInvalidNode;
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_TRUE(stats.ran_offload);
   EXPECT_EQ(ctx_.calls.size(), 0u);
 }
@@ -329,7 +328,7 @@ TEST_F(PlacementTest, SingleObjectOffloadWhenBulkDisabled) {
   }
   agent_.OnMeasurementTick(SecondsToSim(20.0));  // 120 req/s > hw
   ctx_.offload_recipient = 7;
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_TRUE(stats.ran_offload);
   EXPECT_EQ(stats.offload_migrations + stats.offload_replications, 1);
 }
@@ -345,7 +344,7 @@ TEST_F(PlacementTest, FreshlyAcquiredObjectNotInstantlyDropped) {
                   .accepted);
   ctx_.redirector.OnReplicaCreated(9, 0);
   agent_.RecordServiced(9, {0});  // 1 req in its 1 s epoch = 1 req/s >> u
-  const PlacementStats stats = agent_.RunPlacement(ctx_, kRound);
+  const PlacementStats stats = ctx_.RunPlacement(agent_, kRound);
   EXPECT_EQ(stats.affinity_drops, 0);
   EXPECT_TRUE(agent_.HasObject(9));
 }

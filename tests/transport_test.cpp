@@ -4,9 +4,9 @@
 // HostNode/RedirectorNode brains driven over SimNet — the same protocol
 // exchanges the daemons run over sockets, here deterministic and
 // in-process: redirect round trips, Fig. 4 CreateObj over the wire,
-// redirector-arbitrated drops, crash/reconnect conservation, and the
-// overload shed loop end to end.
-#include <array>
+// redirector-arbitrated drops, crash/reconnect conservation, the
+// placement round's asynchronous edges, and a check that the daemons'
+// rounds decide exactly what Cluster's do.
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -18,6 +18,7 @@
 
 #include "common/check.h"
 #include "common/types.h"
+#include "core/cluster.h"
 #include "core/params.h"
 #include "sim/simulator.h"
 #include "transport/host_node.h"
@@ -213,16 +214,30 @@ class LateHandler final : public Handler {
   Handler* target_ = nullptr;
 };
 
-/// One redirector + two host brains + one recording client on a SimNet.
+/// Three hosts (ids 1-3) and a client (id 4).
+constexpr const char* kThreeHosts =
+    "0 redirector 127.0.0.1 9000\n"
+    "1 host 127.0.0.1 9001\n"
+    "2 host 127.0.0.1 9002\n"
+    "3 host 127.0.0.1 9003\n"
+    "4 client 127.0.0.1 0\n";
+
+/// One redirector, the platform's host brains (ids 1..n), and one
+/// recording client (the last node) on a SimNet whose links are
+/// `delay_us` long.
 class BrainHarness {
  public:
   explicit BrainHarness(std::int32_t num_objects,
-                        core::ProtocolParams params = {}) {
+                        core::ProtocolParams params = {},
+                        const char* platform = kPlatform,
+                        std::int64_t delay_us = 1000)
+      : settle_us_(delay_us > 0 ? 10'000 : 0) {
     std::string error;
-    auto config = Parse(kPlatform, &error);
+    auto config = Parse(platform, &error);
     RADAR_CHECK_MSG(config.has_value(), "platform config must parse");
     config_ = std::make_unique<NodeConfig>(*std::move(config));
-    net_ = std::make_unique<SimNet>(&sim_, config_->num_nodes(), 1000);
+    net_ = std::make_unique<SimNet>(&sim_, config_->num_nodes(), delay_us);
+    late_.resize(static_cast<std::size_t>(config_->num_nodes()));
 
     RedirectorNode::Options ropt;
     ropt.num_objects = num_objects;
@@ -233,7 +248,7 @@ class BrainHarness {
     HostNode::Options hopt;
     hopt.num_objects = num_objects;
     hopt.params = params;
-    for (NodeId id : {1, 2}) {
+    for (const NodeId id : config_->hosts()) {
       Transport* transport =
           net_->Attach(id, &late_[static_cast<std::size_t>(id)]);
       hosts_.push_back(std::make_unique<HostNode>(*config_, id, transport,
@@ -241,7 +256,7 @@ class BrainHarness {
       late_[static_cast<std::size_t>(id)].Bind(hosts_.back().get());
       transports_.push_back(transport);
     }
-    client_transport_ = net_->Attach(3, &client_);
+    client_transport_ = net_->Attach(config_->num_nodes() - 1, &client_);
 
     for (auto& host : hosts_) {
       RADAR_CHECK_MSG(host->Init(&error), "host init must succeed");
@@ -254,11 +269,14 @@ class BrainHarness {
     return transports_[static_cast<std::size_t>(id - 1)];
   }
 
+  /// Runs every frame in flight to completion (delay_us > 0: 10 ms).
+  void Settle() { sim_.RunUntil(sim_.Now() + settle_us_); }
+
   /// Client-side redirect round trip; returns the redirect target.
   NodeId AskRedirect(ObjectId x, NodeId gateway) {
     client_.seen.clear();
     client_transport_->Send(0, wire::Request{x, gateway});
-    sim_.RunUntil(sim_.Now() + 10'000);
+    Settle();
     for (const auto& s : client_.seen) {
       if (const auto* r = std::get_if<wire::Redirect>(&s.frame.msg)) {
         if (r->object == x) return r->host;
@@ -272,7 +290,7 @@ class BrainHarness {
     client_.seen.clear();
     const std::uint64_t seq =
         client_transport_->Send(host, wire::Request{x, gateway});
-    sim_.RunUntil(sim_.Now() + 10'000);
+    Settle();
     for (const auto& s : client_.seen) {
       if (const auto* a = std::get_if<wire::Ack>(&s.frame.msg)) {
         if (a->acked_seq == seq) return a->accepted;
@@ -281,10 +299,11 @@ class BrainHarness {
     return false;
   }
 
+  std::int64_t settle_us_;
   sim::Simulator sim_;
   std::unique_ptr<NodeConfig> config_;
   std::unique_ptr<SimNet> net_;
-  std::array<LateHandler, 3> late_;
+  std::vector<LateHandler> late_;
   std::unique_ptr<RedirectorNode> redirector_;
   std::vector<std::unique_ptr<HostNode>> hosts_;
   std::vector<Transport*> transports_;
@@ -388,7 +407,7 @@ TEST(BrainTest, StatsRelayHubAndSpoke) {
   EXPECT_EQ(h.host(1).counters().stats_seen, 0u);
 }
 
-TEST(BrainTest, OverloadShedsHottestObjectToIdlePeer) {
+TEST(BrainTest, OverloadedHostOffloadsInItsPlacementRound) {
   // Small watermarks and short intervals so a handful of requests push
   // host 1 into offloading mode within a few simulated seconds.
   core::ProtocolParams params;
@@ -399,26 +418,438 @@ TEST(BrainTest, OverloadShedsHottestObjectToIdlePeer) {
   BrainHarness h(2, params);
 
   // Drive requests for object 0 at host 1 while ticking both hosts (the
-  // daemons call OnTick every poll; here every 100 simulated ms).
-  for (int step = 0; step < 100; ++step) {
-    if (step % 2 == 0) h.client_transport_->Send(1, wire::Request{0, 3});
+  // daemons call OnTick every poll; here every 100 simulated ms) until
+  // host 1's round has offloaded.
+  const auto offloaded = [&h] {
+    return h.host(1).counters().offload_migrations +
+           h.host(1).counters().offload_replications;
+  };
+  int step = 0;
+  const auto drive = [&] {
+    if (step++ % 2 == 0) h.client_transport_->Send(1, wire::Request{0, 3});
     h.sim_.RunUntil(h.sim_.Now() + 100'000);
     h.host(1).OnTick();
     h.host(2).OnTick();
-  }
+  };
+  while (step < 100 && offloaded() == 0) drive();
 
   // Host 1 exceeded hw, learned from the relayed stats that host 2 is
-  // idle, and shed object 0 there. Whether the Fig. 5 branch chose
-  // migrate or replicate, host 2 must now hold a copy and the redirector
-  // must know it — and no object was lost along the way.
+  // idle, and shed object 0 there. Object 0 runs far above m, so Fig. 5
+  // replicated it: both hosts hold a copy and the redirector knows both.
+  ASSERT_EQ(h.host(1).counters().offload_replications, 1u);
+  EXPECT_EQ(h.host(1).counters().offload_migrations, 0u);
+  EXPECT_TRUE(h.host(1).agent().HasObject(0));
   EXPECT_TRUE(h.host(2).agent().HasObject(0));
-  EXPECT_GE(h.host(1).counters().migrates_out +
-                h.host(1).counters().replicates_out,
-            1u);
-  EXPECT_GE(h.redirector_->redirector().ReplicaCount(0), 1);
+  EXPECT_EQ(h.redirector_->redirector().ReplicaHosts(0),
+            (std::vector<NodeId>{1, 2}));
+
+  // The client keeps fetching from host 1 only, so host 2's copy stays
+  // cold and host 2's own round deletes it (Fig. 3's deletion branch) —
+  // with no object lost along the way.
+  while (step < 200 && h.host(2).agent().HasObject(0)) drive();
+  EXPECT_FALSE(h.host(2).agent().HasObject(0));
+  EXPECT_GE(h.host(2).counters().affinity_drops, 1u);
+  EXPECT_EQ(h.redirector_->redirector().ReplicaHosts(0),
+            (std::vector<NodeId>{1}));
   EXPECT_EQ(h.redirector_->CountObjectsWithoutReplica(), 0);
-  // Repeated shed rounds may bump host 2's affinity; it must be recorded.
-  EXPECT_GE(h.redirector_->redirector().AffinityOf(0, 2), 1);
+}
+
+// ---------------------------------------------------------------------
+// The redirector accepts host frames only from hosts, and refuses drops
+// it cannot grant instead of aborting.
+// ---------------------------------------------------------------------
+
+TEST(BrainTest, DropRequestForUnrecordedReplicaIsRefused) {
+  BrainHarness h(2);
+  // Host 2 asks to drop object 0, which the redirector records on host 1
+  // only — the shape of a drop drained from a spool after the redirector
+  // pruned its sender, before the sender's re-announce.
+  h.host_transport(2)->Send(0, wire::Migrate{0, 2, kInvalidNode, 0.0});
+  h.Settle();
+  EXPECT_EQ(h.redirector_->counters().drops_refused, 1u);
+  EXPECT_EQ(h.redirector_->redirector().ReplicaHosts(0),
+            (std::vector<NodeId>{1}));
+}
+
+TEST(BrainTest, DropRefusedUnlessSendersAffinityIsOne) {
+  BrainHarness h(2);
+  // Object 0: a copy on host 2, and host 1's copy at affinity 2.
+  h.host_transport(1)->Send(2, wire::Replicate{0, 1, 2, 0.0});
+  h.host_transport(2)->Send(1, wire::Replicate{0, 2, 1, 0.0});
+  h.Settle();
+  ASSERT_EQ(h.redirector_->redirector().ReplicaCount(0), 2);
+  ASSERT_EQ(h.redirector_->redirector().AffinityOf(0, 1), 2);
+
+  h.host_transport(1)->Send(0, wire::Migrate{0, 1, kInvalidNode, 0.0});
+  h.Settle();
+  EXPECT_EQ(h.redirector_->counters().drops_refused, 1u);
+  EXPECT_EQ(h.redirector_->redirector().ReplicaCount(0), 2);
+  EXPECT_EQ(h.redirector_->redirector().AffinityOf(0, 1), 2);
+}
+
+TEST(BrainTest, ReplicateNoteFromClientIsIgnored) {
+  BrainHarness h(2);
+  // A client claiming a copy of object 1 must not become a replica holder
+  // the redirector sends requests to.
+  h.client_transport_->Send(0, wire::Replicate{1, 3, 3, 0.0});
+  h.Settle();
+  EXPECT_EQ(h.redirector_->counters().creates_recorded, 0u);
+  EXPECT_EQ(h.redirector_->redirector().ReplicaHosts(1),
+            (std::vector<NodeId>{2}));
+  EXPECT_EQ(h.AskRedirect(1, 3), 2);
+}
+
+TEST(BrainTest, ClientPlacementStatIsNeitherRelayedNorKept) {
+  BrainHarness h(2);
+  // A client's load report would make it an offload recipient that never
+  // answers a CreateObj.
+  h.client_transport_->Send(0, wire::PlacementStat{3, 0.0, 1.0, 0});
+  h.client_transport_->Send(1, wire::PlacementStat{3, 0.0, 1.0, 0});
+  h.Settle();
+  EXPECT_EQ(h.redirector_->counters().stats_relayed, 0u);
+  EXPECT_EQ(h.host(1).counters().stats_seen, 0u);
+  EXPECT_EQ(h.host(2).counters().stats_seen, 0u);
+}
+
+TEST(BrainTest, AnnounceLowersAffinityAndNeverRaisesIt) {
+  BrainHarness h(2);
+  h.host_transport(2)->Send(1, wire::Replicate{0, 2, 1, 0.0});
+  h.Settle();
+  ASSERT_EQ(h.redirector_->redirector().AffinityOf(0, 1), 2);
+  // A placement round shed one unit: the Announce lowers the record, and
+  // repeating it changes nothing.
+  for (int i = 0; i < 2; ++i) {
+    h.host_transport(1)->Send(0, wire::Announce{0, 1, 1});
+    h.Settle();
+    EXPECT_EQ(h.redirector_->redirector().AffinityOf(0, 1), 1);
+  }
+  EXPECT_EQ(h.redirector_->counters().affinity_reductions, 1u);
+  // Raising is a Replicate note's job, not an Announce's.
+  h.host_transport(1)->Send(0, wire::Announce{0, 1, 3});
+  h.Settle();
+  EXPECT_EQ(h.redirector_->redirector().AffinityOf(0, 1), 1);
+}
+
+// ---------------------------------------------------------------------
+// The placement round's asynchronous edges, over links 1 ms long.
+// ---------------------------------------------------------------------
+
+/// Measures every 10 s and places every 20 s.
+core::ProtocolParams ShortSchedule() {
+  core::ProtocolParams params;
+  params.measurement_interval = SecondsToSim(10.0);
+  params.placement_interval = SecondsToSim(20.0);
+  return params;
+}
+
+/// Arms host 1's timers, runs `fetches`, then ticks host 1 once its
+/// placement interval has elapsed, which starts its first round.
+template <class Fetches>
+void StartFirstRound(BrainHarness& h, Fetches fetches) {
+  const SimTime armed_at = h.sim_.Now();
+  h.host(1).OnTick();
+  fetches();
+  h.sim_.RunUntil(armed_at + ShortSchedule().placement_interval);
+  h.host(1).OnTick();
+}
+
+/// Every replica the redirector records exists on its host.
+void ExpectRegistrySubset(BrainHarness& h, std::int32_t num_objects) {
+  for (ObjectId x = 0; x < num_objects; ++x) {
+    for (const NodeId host : h.redirector_->redirector().ReplicaHosts(x)) {
+      EXPECT_TRUE(h.host(host).agent().HasObject(x))
+          << "object " << x << " host " << host;
+    }
+  }
+}
+
+TEST(PlacementRoundTest, RecipientDownMidCreateObjTriesNextCandidate) {
+  BrainHarness h(3, ShortSchedule(), kThreeHosts);
+  // Object 0 (host 1) is requested half through host 2, half through
+  // host 3: both are geo-replication candidates, host 2 first.
+  StartFirstRound(h, [&h] {
+    for (int i = 0; i < 20; ++i) {
+      h.Fetch(0, 1, 2);
+      h.Fetch(0, 1, 3);
+    }
+  });
+  ASSERT_TRUE(h.host(1).placement_running());
+  // Host 2 dies with the CreateObj in flight: the round resumes with a
+  // refusal, keeps x, and asks host 3.
+  h.net_->SetNodeUp(2, false);
+  h.Settle();
+  ASSERT_FALSE(h.host(1).placement_running());
+  EXPECT_EQ(h.host(1).last_round().geo_replications, 1);
+  EXPECT_TRUE(h.host(1).agent().HasObject(0));
+  EXPECT_FALSE(h.host(2).agent().HasObject(0));
+  EXPECT_TRUE(h.host(3).agent().HasObject(0));
+  EXPECT_EQ(h.redirector_->redirector().ReplicaHosts(0),
+            (std::vector<NodeId>{1, 3}));
+
+  h.net_->SetNodeUp(2, true);
+  h.Settle();
+  EXPECT_EQ(h.redirector_->CountObjectsWithoutReplica(), 0);
+  ExpectRegistrySubset(h, 3);
+}
+
+TEST(PlacementRoundTest, RedirectorDownMidDropKeepsCopy) {
+  BrainHarness h(3, ShortSchedule(), kThreeHosts);
+  // A second copy of object 0 on host 2, so a drop would be granted.
+  h.host_transport(1)->Send(2, wire::Replicate{0, 1, 2, 0.0});
+  h.Settle();
+  ASSERT_EQ(h.redirector_->redirector().ReplicaCount(0), 2);
+  // Object 0 is cold on host 1: its round asks the redirector to drop it.
+  StartFirstRound(h, [] {});
+  ASSERT_TRUE(h.host(1).placement_running());
+  h.net_->SetNodeUp(0, false);
+  h.Settle();
+  ASSERT_FALSE(h.host(1).placement_running());
+  EXPECT_EQ(h.host(1).last_round().affinity_drops, 0);
+  EXPECT_TRUE(h.host(1).agent().HasObject(0));
+
+  h.net_->SetNodeUp(0, true);
+  h.Settle();
+  EXPECT_EQ(h.redirector_->CountObjectsWithoutReplica(), 0);
+  EXPECT_EQ(h.redirector_->redirector().ReplicaHosts(0),
+            (std::vector<NodeId>{1, 2}));
+  ExpectRegistrySubset(h, 3);
+}
+
+/// Replaces host 3's brain with `silent`, which records frames and never
+/// answers, and starts host 1's round with object 0 — requested only
+/// through host 3, at a unit rate between u and m — geo-migrating there
+/// (and, once refused, not geo-replicating). Returns the seq of the
+/// parked CreateObj frame.
+std::uint64_t ParkRoundAtSilentPeer(BrainHarness& h, Recorder* silent) {
+  h.late_[3].Bind(silent);
+  StartFirstRound(h, [&h] {
+    for (int i = 0; i < 3; ++i) h.Fetch(0, 1, 3);
+  });
+  h.Settle();
+  RADAR_CHECK(h.host(1).placement_running());
+  for (const Recorder::Seen& seen : silent->seen) {
+    if (const auto* m = std::get_if<wire::Migrate>(&seen.frame.msg)) {
+      if (m->object == 0 && seen.from == 1) return seen.frame.seq;
+    }
+  }
+  RADAR_CHECK_MSG(false, "host 1 sent no CreateObj(MIGRATE) to host 3");
+  return 0;
+}
+
+TEST(PlacementRoundTest, AckFromAnotherPeerLeavesRoundWaiting) {
+  BrainHarness h(3, ShortSchedule(), kThreeHosts);
+  Recorder silent;
+  const std::uint64_t seq = ParkRoundAtSilentPeer(h, &silent);
+  // Host 2 echoes the awaited seq: not the answer the round waits on.
+  h.host_transport(2)->Send(1, wire::Ack{seq, true, false});
+  h.Settle();
+  EXPECT_TRUE(h.host(1).placement_running());
+  // The awaited peer's refusal resumes it.
+  h.host_transport(3)->Send(1, wire::Ack{seq, false, false});
+  h.Settle();
+  EXPECT_FALSE(h.host(1).placement_running());
+  EXPECT_EQ(h.host(1).last_round().geo_migrations, 0);
+  EXPECT_TRUE(h.host(1).agent().HasObject(0));
+}
+
+TEST(PlacementRoundTest, FetchesAndCreateObjRunDuringSuspendedRound) {
+  // 96 objects: host 1 holds 32, a full slab chunk, so one more record
+  // grows the agent's slab and the parallel arrays keyed by it.
+  constexpr std::int32_t kObjects = 96;
+  BrainHarness h(kObjects, ShortSchedule(), kThreeHosts);
+  Recorder silent;
+  const std::uint64_t seq = ParkRoundAtSilentPeer(h, &silent);
+  const std::size_t held = h.host(1).agent().NumObjects();
+  ASSERT_EQ(held, 32u);
+
+  // While the round waits: fetches append to the count rows it walks
+  // (object 0's, and object 3's, which it has yet to reach), and host 2's
+  // CreateObj inserts a record.
+  for (int i = 0; i < 200; ++i) {
+    h.client_transport_->Send(1, wire::Request{0, 2});
+    h.client_transport_->Send(1, wire::Request{3, 2});
+  }
+  h.host_transport(2)->Send(1, wire::Replicate{1, 2, 1, 0.5});
+  h.Settle();
+  EXPECT_TRUE(h.host(1).placement_running());
+  EXPECT_EQ(h.host(1).agent().NumObjects(), held + 1);
+  EXPECT_EQ(h.host(1).counters().requests_serviced, 3u + 400u);
+
+  // The rest of the round asks the redirector about 31 cold objects, one
+  // 2 ms exchange at a time.
+  h.host_transport(3)->Send(1, wire::Ack{seq, false, false});
+  h.sim_.RunUntil(h.sim_.Now() + SecondsToSim(1.0));
+  EXPECT_FALSE(h.host(1).placement_running());
+  EXPECT_TRUE(h.host(1).agent().HasObject(0));
+  EXPECT_TRUE(h.host(1).agent().HasObject(1));
+  EXPECT_EQ(h.redirector_->CountObjectsWithoutReplica(), 0);
+  ExpectRegistrySubset(h, kObjects);
+}
+
+TEST(PlacementRoundTest, PlacementTickDuringRoundStartsNoSecondRound) {
+  BrainHarness h(3, ShortSchedule(), kThreeHosts);
+  Recorder silent;
+  const std::uint64_t seq = ParkRoundAtSilentPeer(h, &silent);
+  h.sim_.RunUntil(h.sim_.Now() + ShortSchedule().placement_interval);
+  h.host(1).OnTick();
+  h.Settle();
+  EXPECT_TRUE(h.host(1).placement_running());
+  EXPECT_EQ(h.host(1).counters().placement_rounds, 0u);
+  int creates = 0;
+  for (const Recorder::Seen& seen : silent.seen) {
+    if (std::holds_alternative<wire::Migrate>(seen.frame.msg)) ++creates;
+  }
+  EXPECT_EQ(creates, 1);
+
+  h.host_transport(3)->Send(1, wire::Ack{seq, false, false});
+  h.Settle();
+  EXPECT_FALSE(h.host(1).placement_running());
+  EXPECT_EQ(h.host(1).counters().placement_rounds, 1u);
+}
+
+// ---------------------------------------------------------------------
+// One placement implementation: the daemons' rounds decide exactly what
+// Cluster's do.
+// ---------------------------------------------------------------------
+
+/// Asserts equal host replica sets and affinities, and equal redirector
+/// replica sets and affinities.
+void ExpectSameReplicas(BrainHarness& d, const core::Cluster& cluster,
+                        std::int32_t num_objects, int cycle) {
+  for (const NodeId host : d.config_->hosts()) {
+    const core::HostAgent& daemon = d.host(host).agent();
+    const core::HostAgent& sim = cluster.host(host);
+    ASSERT_EQ(daemon.Objects(), sim.Objects())
+        << "cycle " << cycle << " host " << host;
+    for (const ObjectId x : daemon.Objects()) {
+      ASSERT_EQ(daemon.Affinity(x), sim.Affinity(x))
+          << "cycle " << cycle << " host " << host << " object " << x;
+    }
+  }
+  for (ObjectId x = 0; x < num_objects; ++x) {
+    const core::Redirector& daemon = d.redirector_->redirector();
+    const core::Redirector& sim = cluster.redirectors().For(x);
+    ASSERT_EQ(daemon.ReplicaHosts(x), sim.ReplicaHosts(x))
+        << "cycle " << cycle << " object " << x;
+    for (const NodeId host : daemon.ReplicaHosts(x)) {
+      ASSERT_EQ(daemon.AffinityOf(x, host), sim.AffinityOf(x, host))
+          << "cycle " << cycle << " object " << x << " host " << host;
+    }
+  }
+}
+
+TEST(PlacementEquivalenceTest, DaemonRoundsMatchClusterRounds) {
+  core::ProtocolParams params;
+  params.measurement_interval = SecondsToSim(10.0);
+  params.placement_interval = 3 * params.measurement_interval;
+  params.high_watermark = 10.0;
+  params.low_watermark = 8.0;
+  constexpr std::int32_t kObjects = 6;  // homes: x mod 3 -> hosts 1, 2, 3
+  constexpr NodeId kClient = 4;
+  BrainHarness d(kObjects, params, kThreeHosts, /*delay_us=*/0);
+  const NodeConfig& config = *d.config_;
+  const CliqueDistance distance(config.num_nodes());
+  core::Cluster cluster(config.num_nodes(), distance, params,
+                        {config.redirector()});
+  cluster.set_liveness([&config](NodeId n) { return config.IsHost(n); });
+  for (ObjectId x = 0; x < kObjects; ++x) {
+    cluster.PlaceInitialObject(x, config.InitialHome(x));
+  }
+
+  // One fetch, both ways: the redirector's Fig. 2 choice, then the
+  // servicing host records it along the daemon's preference path.
+  const auto fetch = [&](ObjectId x, NodeId gateway) {
+    const NodeId host = cluster.RouteRequest(x, gateway);
+    ASSERT_EQ(d.AskRedirect(x, gateway), host) << "object " << x;
+    std::vector<NodeId> path{host};
+    if (gateway != host && config.IsHost(gateway)) {
+      path.push_back(gateway);
+    }
+    ASSERT_TRUE(cluster.host(host).RecordServicedIfHosted(x, path));
+    ASSERT_TRUE(d.Fetch(x, host, gateway));
+  };
+  struct Stream {
+    int first_cycle, last_cycle;
+    ObjectId x;
+    NodeId gateway;
+    int per_cycle;
+  };
+  const std::vector<Stream> streams = {
+      // Object 0 (host 1), reached through host 2: geo-migrates there.
+      {0, 10, 0, 2, 2},
+      // Object 1 (host 2), half through host 1: geo-replicates to host 1.
+      // Then only through host 1: the share Fig. 2 still sends host 2
+      // geo-migrates onto host 1's copy (affinity 2), and once cold that
+      // copy sheds a unit (an Announce) before its drop is refused.
+      {0, 3, 1, 1, 2},
+      {0, 3, 1, kClient, 2},
+      {4, 6, 1, 1, 6},
+      // Object 2 (host 3) overloads host 3: offload replication. Object 5
+      // (host 3), light and half through host 1, ranks first in Fig. 5's
+      // order: offload migration.
+      {4, 6, 2, kClient, 110},
+      {4, 4, 5, 1, 3},
+      {4, 4, 5, kClient, 3},
+  };
+
+  // Host i arms its timers at cycle i - 1, so from cycle 3 on exactly one
+  // host places per cycle, after the others' fresh reports are relayed:
+  // the loads the daemon reads equal the live estimates Cluster reads.
+  const SimTime t0 = SecondsToSim(1.0);
+  constexpr int kCycles = 12;
+  core::PlacementStats totals;
+  int rounds = 0;
+  for (int k = 0; k <= kCycles; ++k) {
+    const SimTime t = t0 + k * params.measurement_interval;
+    d.sim_.RunUntil(t);
+    const NodeId placer = k >= 3 ? k % 3 + 1 : kInvalidNode;
+    for (const NodeId host : config.hosts()) {
+      if (host - 1 > k || host == placer) continue;
+      d.host(host).OnTick();
+      if (k >= host) cluster.TickMeasurement(host, t);
+    }
+    d.Settle();
+    if (placer != kInvalidNode) {
+      d.host(placer).OnTick();
+      cluster.TickMeasurement(placer, t);
+      const core::PlacementStats expected = cluster.RunPlacement(placer, t);
+      d.Settle();
+      ASSERT_FALSE(d.host(placer).placement_running()) << "cycle " << k;
+      ASSERT_EQ(d.host(placer).counters().placement_rounds,
+                static_cast<std::uint64_t>(k / 3)) << "cycle " << k;
+      const core::PlacementStats& got = d.host(placer).last_round();
+      ASSERT_EQ(got, expected)
+          << "cycle " << k << ": daemon drops/gm/gr/om/or "
+          << got.affinity_drops << "/" << got.geo_migrations << "/"
+          << got.geo_replications << "/" << got.offload_migrations << "/"
+          << got.offload_replications << ", cluster "
+          << expected.affinity_drops << "/" << expected.geo_migrations
+          << "/" << expected.geo_replications << "/"
+          << expected.offload_migrations << "/"
+          << expected.offload_replications;
+      ExpectSameReplicas(d, cluster, kObjects, k);
+      ++rounds;
+      totals.affinity_drops += expected.affinity_drops;
+      totals.geo_migrations += expected.geo_migrations;
+      totals.geo_replications += expected.geo_replications;
+      totals.offload_migrations += expected.offload_migrations;
+      totals.offload_replications += expected.offload_replications;
+    }
+    for (const Stream& st : streams) {
+      if (k < st.first_cycle || k > st.last_cycle) continue;
+      for (int i = 0; i < st.per_cycle; ++i) fetch(st.x, st.gateway);
+    }
+  }
+  EXPECT_EQ(rounds, kCycles - 2);
+  EXPECT_GE(totals.affinity_drops, 1);
+  EXPECT_GE(totals.geo_migrations, 1);
+  EXPECT_GE(totals.geo_replications, 1);
+  EXPECT_GE(totals.offload_migrations, 1);
+  EXPECT_GE(totals.offload_replications, 1);
+  // One of the affinity drops shed a unit of a multi-unit replica, which
+  // the daemon carries in an Announce.
+  EXPECT_GE(d.redirector_->counters().affinity_reductions, 1u);
+  EXPECT_EQ(d.redirector_->CountObjectsWithoutReplica(), 0);
 }
 
 }  // namespace

@@ -94,9 +94,12 @@ void WriteSummary(const std::string& path, radar::NodeId id,
       << ",\"requests_unhosted\":" << c.requests_unhosted
       << ",\"create_accepted\":" << c.create_accepted
       << ",\"create_refused\":" << c.create_refused
-      << ",\"migrates_out\":" << c.migrates_out
-      << ",\"replicates_out\":" << c.replicates_out
-      << ",\"drops_granted\":" << c.drops_granted
+      << ",\"placement_rounds\":" << c.placement_rounds
+      << ",\"geo_migrations\":" << c.geo_migrations
+      << ",\"geo_replications\":" << c.geo_replications
+      << ",\"offload_migrations\":" << c.offload_migrations
+      << ",\"offload_replications\":" << c.offload_replications
+      << ",\"affinity_drops\":" << c.affinity_drops
       << ",\"wal_errors\":" << c.wal_errors
       << ",\"frames_sent\":" << t.frames_sent
       << ",\"frames_received\":" << t.frames_received

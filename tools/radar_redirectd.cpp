@@ -100,6 +100,7 @@ void WriteSummary(const std::string& path, const Flags& flags,
       << ",\"creates_recorded\":" << c.creates_recorded
       << ",\"drops_granted\":" << c.drops_granted
       << ",\"drops_refused\":" << c.drops_refused
+      << ",\"affinity_reductions\":" << c.affinity_reductions
       << ",\"announces_restored\":" << c.announces_restored
       << ",\"hosts_pruned\":" << c.hosts_pruned
       << ",\"replicas_pruned\":" << c.replicas_pruned
