@@ -102,6 +102,35 @@ TEST(BinlogTest, RoundTripAndReopenAppends) {
   EXPECT_EQ(result->valid_bytes, FileBytes(file.path()).size());
 }
 
+TEST(BinlogGolden, RecordHeaderAndPayloadBytes) {
+  // The exact bytes of one record: spools, captures and WALs written by
+  // any earlier build must keep reading back the same.
+  const std::vector<std::uint8_t> golden = {
+      0x52, 0x42, 0x4c, 0x47,                          // magic "RBLG"
+      0x04, 0x00, 0x00, 0x00,                          // payload_len 4
+      0x5a, 0xa3, 0x9c, 0x7c,                          // crc32 0x7c9ca35a
+      0x00, 0x00, 0x00, 0x00,                          // reserved
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // time_us
+      0x03, 0x00, 0x00, 0x00,                          // src 3
+      0xff, 0xff, 0xff, 0xff,                          // dst -1
+      0xde, 0xad, 0xbe, 0xef,                          // payload
+  };
+  const Record record =
+      MakeRecord(0x0102030405060708, 3, -1, {0xde, 0xad, 0xbe, 0xef});
+  TempFile written("golden_write");
+  AppendAll(written.path(), {record});
+  EXPECT_EQ(FileBytes(written.path()), golden);
+
+  TempFile read("golden_read");
+  WriteFileBytes(read.path(), golden);
+  std::string error;
+  const auto result = ReadBinlog(read.path(), &error);
+  ASSERT_TRUE(result.has_value()) << error;
+  EXPECT_TRUE(result->clean);
+  ASSERT_EQ(result->records.size(), 1u);
+  EXPECT_EQ(result->records[0], record);
+}
+
 TEST(BinlogTest, MissingFileIsErrorEmptyFileIsClean) {
   std::string error;
   EXPECT_FALSE(ReadBinlog(testing::TempDir() + "radar_binlog_nonexistent",

@@ -58,6 +58,109 @@ TEST(WireGolden, HelloFrameBytes) {
   EXPECT_EQ(encoded, expected);
 }
 
+// Every other type, field by field: distinct values per field, so two
+// fields swapped in both the encoder and the decoder still fail here.
+
+TEST(WireGolden, RedirectFrameBytes) {
+  const auto encoded = Encode(3, Redirect{4, kInvalidNode});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x03, 0x00,                                      // type kRedirect
+      0x08, 0x00, 0x00, 0x00,                          // len 8
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 3
+      0x04, 0x00, 0x00, 0x00,                          // object 4
+      0xff, 0xff, 0xff, 0xff,                          // host kInvalidNode
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
+TEST(WireGolden, ReplicateFrameBytes) {
+  const auto encoded = Encode(0x1122, Replicate{9, 1, 2, 0.5});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x04, 0x00,                                      // type kReplicate
+      0x14, 0x00, 0x00, 0x00,                          // len 20
+      0x22, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 0x1122
+      0x09, 0x00, 0x00, 0x00,                          // object 9
+      0x01, 0x00, 0x00, 0x00,                          // from 1
+      0x02, 0x00, 0x00, 0x00,                          // to 2
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // unit_load 0.5
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
+TEST(WireGolden, MigrateFrameBytes) {
+  const auto encoded = Encode(2, Migrate{0x0a0b0c0d, 3, kInvalidNode, -3.25});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x05, 0x00,                                      // type kMigrate
+      0x14, 0x00, 0x00, 0x00,                          // len 20
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 2
+      0x0d, 0x0c, 0x0b, 0x0a,                          // object 0x0a0b0c0d
+      0x03, 0x00, 0x00, 0x00,                          // from 3
+      0xff, 0xff, 0xff, 0xff,                          // to kInvalidNode
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0xc0,  // unit_load -3.25
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
+TEST(WireGolden, AckFrameBytes) {
+  const auto encoded = Encode(5, Ack{0x1122334455667788ull, true, false});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x06, 0x00,                                      // type kAck
+      0x0a, 0x00, 0x00, 0x00,                          // len 10
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 5
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // acked_seq
+      0x01,                                            // accepted
+      0x00,                                            // created_new_copy
+  });
+  EXPECT_EQ(encoded, expected);
+  const auto created = Encode(5, Ack{7, false, true});
+  EXPECT_EQ(created[kHeaderSize + 8], 0x00);
+  EXPECT_EQ(created[kHeaderSize + 9], 0x01);
+}
+
+TEST(WireGolden, PlacementStatFrameBytes) {
+  const auto encoded = Encode(6, PlacementStat{3, 2.0, 0.5, 0x01020304u});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x07, 0x00,                                      // type kPlacementStat
+      0x18, 0x00, 0x00, 0x00,                          // len 24
+      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 6
+      0x03, 0x00, 0x00, 0x00,                          // host 3
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  // load 2.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // weight 0.5
+      0x04, 0x03, 0x02, 0x01,                          // num_objects
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
+TEST(WireGolden, AnnounceFrameBytes) {
+  const auto encoded = Encode(7, Announce{6, 2, -2});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x08, 0x00,                                      // type kAnnounce
+      0x0c, 0x00, 0x00, 0x00,                          // len 12
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 7
+      0x06, 0x00, 0x00, 0x00,                          // object 6
+      0x02, 0x00, 0x00, 0x00,                          // host 2
+      0xfe, 0xff, 0xff, 0xff,                          // affinity -2
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
+TEST(WireGolden, ShutdownFrameBytes) {
+  const auto encoded = Encode(0x0102030405060708ull, Shutdown{});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x09, 0x00,                                      // type kShutdown
+      0x00, 0x00, 0x00, 0x00,                          // len 0
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // seq
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
 TEST(WireGolden, MigrateCarriesDoubleAsBitPattern) {
   // 1.5 == 0x3FF8000000000000: the payload must hold exactly those bytes.
   const auto encoded = Encode(2, Migrate{9, 1, 2, 1.5});
