@@ -3,12 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/bytes.h"
 #include "common/check.h"
 
 namespace radar::binlog {
@@ -24,34 +26,6 @@ std::array<std::uint32_t, 256> BuildCrcTable() {
     table[i] = c;
   }
   return table;
-}
-
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t GetU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
 }
 
 }  // namespace
@@ -89,15 +63,12 @@ bool BinlogWriter::Append(std::int64_t time_us, std::int32_t src,
                           std::size_t payload_size) {
   RADAR_CHECK(is_open());
   RADAR_CHECK_LE(payload_size, static_cast<std::size_t>(kMaxRecordPayload));
-  scratch_.clear();
-  PutU32(scratch_, kRecordMagic);
-  PutU32(scratch_, static_cast<std::uint32_t>(payload_size));
-  PutU32(scratch_, Crc32(payload, payload_size));
-  PutU32(scratch_, 0);  // reserved
-  PutU64(scratch_, static_cast<std::uint64_t>(time_us));
-  PutU32(scratch_, static_cast<std::uint32_t>(src));
-  PutU32(scratch_, static_cast<std::uint32_t>(dst));
-  scratch_.insert(scratch_.end(), payload, payload + payload_size);
+  scratch_.resize(kRecordHeaderSize + payload_size);
+  ByteWriter({scratch_.data(), kRecordHeaderSize})
+      .Put(kRecordMagic, static_cast<std::uint32_t>(payload_size),
+           Crc32(payload, payload_size), std::uint32_t{0} /* reserved */,
+           time_us, src, dst);
+  std::copy_n(payload, payload_size, scratch_.begin() + kRecordHeaderSize);
 
   // One write per record: a record is torn only if the OS tears the
   // single write (the reader handles that), never by interleaving.
@@ -157,13 +128,19 @@ std::optional<ReadResult> ReadBinlog(const std::string& path,
       result.stop_reason = "torn-header";
       break;
     }
-    const std::uint8_t* h = data + pos;
-    if (GetU32(h) != kRecordMagic) {
+    std::uint32_t magic = 0;
+    std::uint32_t payload_len = 0;
+    std::uint32_t crc = 0;
+    std::uint32_t reserved = 0;
+    Record record;
+    ByteReader({data + pos, kRecordHeaderSize})
+        .Get(magic, payload_len, crc, reserved, record.time_us, record.src,
+             record.dst);
+    if (magic != kRecordMagic) {
       result.clean = false;
       result.stop_reason = "bad-magic";
       break;
     }
-    const std::uint32_t payload_len = GetU32(h + 4);
     if (payload_len > kMaxRecordPayload) {
       result.clean = false;
       result.stop_reason = "bad-length";
@@ -174,16 +151,12 @@ std::optional<ReadResult> ReadBinlog(const std::string& path,
       result.stop_reason = "torn-payload";
       break;
     }
-    const std::uint8_t* payload = h + kRecordHeaderSize;
-    if (GetU32(h + 8) != Crc32(payload, payload_len)) {
+    const std::uint8_t* payload = data + pos + kRecordHeaderSize;
+    if (crc != Crc32(payload, payload_len)) {
       result.clean = false;
       result.stop_reason = "bad-crc";
       break;
     }
-    Record record;
-    record.time_us = static_cast<std::int64_t>(GetU64(h + 16));
-    record.src = static_cast<std::int32_t>(GetU32(h + 24));
-    record.dst = static_cast<std::int32_t>(GetU32(h + 28));
     record.payload.assign(payload, payload + payload_len);
     result.records.push_back(std::move(record));
     pos += kRecordHeaderSize + payload_len;

@@ -5,27 +5,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/check.h"
 
 namespace radar::transport {
-namespace {
-
-void PutI32(std::uint8_t* p, std::int32_t v) {
-  const auto u = static_cast<std::uint32_t>(v);
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::uint8_t>((u >> (8 * i)) & 0xff);
-  }
-}
-
-std::int32_t GetI32(const std::uint8_t* p) {
-  std::uint32_t u = 0;
-  for (int i = 0; i < 4; ++i) {
-    u |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return static_cast<std::int32_t>(u);
-}
-
-}  // namespace
 
 HostNode::HostNode(const NodeConfig& config, NodeId self, Transport* transport,
                    Options options)
@@ -51,10 +34,12 @@ bool HostNode::Init(std::string* error) {
     if (const auto read = binlog::ReadBinlog(options_.wal_path, &read_error)) {
       fresh = read->records.empty();
       for (const binlog::Record& rec : read->records) {
-        if (rec.payload.size() != kWalPayloadSize) continue;
-        const std::uint8_t op = rec.payload[0];
-        const ObjectId x = GetI32(rec.payload.data() + 1);
-        const std::int32_t value = GetI32(rec.payload.data() + 5);
+        std::uint8_t op = 0;
+        ObjectId x = kInvalidObject;
+        std::int32_t value = 0;
+        ByteReader reader(rec.payload);
+        reader.Get(op, x, value);
+        if (!reader.Exhausted()) continue;
         if (op == kWalCreate && x >= 0 && value >= 1) {
           replicas[x] = value;
         } else if (op == kWalDrop) {
@@ -89,9 +74,7 @@ bool HostNode::Init(std::string* error) {
 bool HostNode::WalAppend(std::uint8_t op, ObjectId object, std::int32_t value) {
   if (!wal_.is_open()) return true;
   std::array<std::uint8_t, kWalPayloadSize> payload;
-  payload[0] = op;
-  PutI32(payload.data() + 1, object);
-  PutI32(payload.data() + 5, value);
+  ByteWriter(payload).Put(op, object, value);
   if (!wal_.Append(transport_->Now(), agent_.self(), agent_.self(),
                    payload.data(), payload.size())) {
     ++counters_.wal_errors;

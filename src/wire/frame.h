@@ -1,11 +1,14 @@
 // Wire protocol messages for real-system mode (DESIGN.md §16).
 //
 // The Fig. 2–5 protocol exchanges, flattened into nine fixed-size frame
-// payloads behind a versioned header. Every multi-byte field is
-// little-endian on the wire; the structs here are the decoded in-memory
-// view. The codec (wire/codec.h) is the only code that touches bytes —
-// daemons, the simulator transport, and the binlog replay tooling all
-// traffic in these structs.
+// payloads behind a versioned header. Each struct here is both the decoded
+// in-memory view and the layout of its payload: `kType` is its wire tag,
+// and `Fields` lists its fields once, in wire order, each laid out by its
+// type (common/bytes.h: little-endian integers, one-byte bools and
+// enumerations, doubles as u64 bit patterns). The codec (wire/codec.h)
+// derives encoding, decoding and payload sizes from those lists and is the
+// only code that touches frame bytes — daemons, the simulator transport,
+// and the binlog replay tooling all traffic in these structs.
 //
 // Message map (who sends what):
 //   kHello          any → any        first frame on a connection: identity
@@ -34,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <variant>
 
 #include "common/types.h"
@@ -75,24 +79,36 @@ enum class PeerRole : std::uint8_t {
   kClient = 2,
 };
 
+/// Decoders reject a role byte above kClient.
+constexpr bool InRange(PeerRole role) { return role <= PeerRole::kClient; }
+
 struct Hello {
+  static constexpr MsgType kType = MsgType::kHello;
   NodeId node = kInvalidNode;
   PeerRole role = PeerRole::kHost;
+
+  static auto Fields(auto& m) { return std::tie(m.node, m.role); }
 
   friend bool operator==(const Hello&, const Hello&) = default;
 };
 
 struct Request {
+  static constexpr MsgType kType = MsgType::kRequest;
   ObjectId object = kInvalidObject;
   NodeId gateway = kInvalidNode;
+
+  static auto Fields(auto& m) { return std::tie(m.object, m.gateway); }
 
   friend bool operator==(const Request&, const Request&) = default;
 };
 
 struct Redirect {
+  static constexpr MsgType kType = MsgType::kRedirect;
   ObjectId object = kInvalidObject;
   /// kInvalidNode when no live replica exists (every copy is down).
   NodeId host = kInvalidNode;
+
+  static auto Fields(auto& m) { return std::tie(m.object, m.host); }
 
   friend bool operator==(const Redirect&, const Redirect&) = default;
 };
@@ -100,10 +116,15 @@ struct Redirect {
 /// Fig. 4 CreateObj(REPLICATE) host→host, and the created-replica
 /// notification host→redirector (`to` is the creating host there).
 struct Replicate {
+  static constexpr MsgType kType = MsgType::kReplicate;
   ObjectId object = kInvalidObject;
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
   double unit_load = 0.0;
+
+  static auto Fields(auto& m) {
+    return std::tie(m.object, m.from, m.to, m.unit_load);
+  }
 
   friend bool operator==(const Replicate&, const Replicate&) = default;
 };
@@ -112,30 +133,45 @@ struct Replicate {
 /// host→redirector ("may `from` drop its sole-affinity copy of x?"; `to`
 /// is unused there).
 struct Migrate {
+  static constexpr MsgType kType = MsgType::kMigrate;
   ObjectId object = kInvalidObject;
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
   double unit_load = 0.0;
 
+  static auto Fields(auto& m) {
+    return std::tie(m.object, m.from, m.to, m.unit_load);
+  }
+
   friend bool operator==(const Migrate&, const Migrate&) = default;
 };
 
 struct Ack {
+  static constexpr MsgType kType = MsgType::kAck;
   /// Sequence number of the frame being answered.
   std::uint64_t acked_seq = 0;
   bool accepted = false;
   /// CreateObj only: a new physical copy was created (object bytes moved).
   bool created_new_copy = false;
 
+  static auto Fields(auto& m) {
+    return std::tie(m.acked_seq, m.accepted, m.created_new_copy);
+  }
+
   friend bool operator==(const Ack&, const Ack&) = default;
 };
 
 /// One host's load report (Sec. 4.2.2's periodic exchange).
 struct PlacementStat {
+  static constexpr MsgType kType = MsgType::kPlacementStat;
   NodeId host = kInvalidNode;
   double load = 0.0;    ///< admission-load estimate (requests/sec)
   double weight = 1.0;  ///< relative-power weight (Sec. 2)
   std::uint32_t num_objects = 0;
+
+  static auto Fields(auto& m) {
+    return std::tie(m.host, m.load, m.weight, m.num_objects);
+  }
 
   friend bool operator==(const PlacementStat&, const PlacementStat&) = default;
 };
@@ -147,17 +183,26 @@ struct PlacementStat {
 /// otherwise — announcing is idempotent, unlike a Replicate notification
 /// (which increments affinity on repeat).
 struct Announce {
+  static constexpr MsgType kType = MsgType::kAnnounce;
   ObjectId object = kInvalidObject;
   NodeId host = kInvalidNode;
   std::int32_t affinity = 1;
+
+  static auto Fields(auto& m) {
+    return std::tie(m.object, m.host, m.affinity);
+  }
 
   friend bool operator==(const Announce&, const Announce&) = default;
 };
 
 struct Shutdown {
+  static constexpr MsgType kType = MsgType::kShutdown;
+
+  static auto Fields(auto&) { return std::tie(); }
   friend bool operator==(const Shutdown&, const Shutdown&) = default;
 };
 
+/// Every message, in MsgType order (the codec checks it at compile time).
 using Message = std::variant<Hello, Request, Redirect, Replicate, Migrate,
                              Ack, PlacementStat, Announce, Shutdown>;
 
