@@ -126,6 +126,15 @@ NodeId NodeConfig::InitialHome(ObjectId x) const {
   return hosts_[static_cast<std::size_t>(x) % hosts_.size()];
 }
 
+std::vector<NodeId> NodeConfig::PeersToDial(NodeId host) const {
+  RADAR_CHECK(IsHost(host));
+  std::vector<NodeId> peers{redirector_};
+  for (const NodeId peer : hosts_) {
+    if (peer > host) peers.push_back(peer);
+  }
+  return peers;
+}
+
 std::int32_t CliqueDistance::Distance(NodeId from, NodeId to) const {
   RADAR_CHECK_GE(from, 0);
   RADAR_CHECK_LT(from, num_nodes_);

@@ -93,6 +93,11 @@ class NodeConfig {
   /// Round-robin initial placement: where object x's first replica lives.
   NodeId InitialHome(ObjectId x) const;
 
+  /// The peers a host daemon dials: the redirector and every host with a
+  /// higher id, so each pair of hosts shares one connection (opened by the
+  /// lower id). Redirectors only accept, and clients dial on demand.
+  std::vector<NodeId> PeersToDial(NodeId host) const;
+
  private:
   std::vector<NodeEntry> nodes_;
   std::vector<NodeId> hosts_;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "core/params.h"
 
 namespace radar::transport {
 
@@ -12,7 +13,7 @@ RedirectorNode::RedirectorNode(const NodeConfig& config, Transport* transport,
       transport_(transport),
       options_(options),
       distance_(config.num_nodes()),
-      redirector_(distance_, options.distribution_constant,
+      redirector_(distance_, core::ProtocolParams{}.distribution_constant,
                   config.redirector()) {
   RADAR_CHECK_EQ(transport->self(), config.redirector());
   redirector_.set_min_replicas(options_.min_replicas);

@@ -34,7 +34,6 @@ class RedirectorNode final : public Handler {
   struct Options {
     /// Total object population (round-robin initial registration).
     std::int32_t num_objects = 0;
-    double distribution_constant = 2.0;
     /// Drop-refusal floor (Redirector::set_min_replicas).
     int min_replicas = 1;
   };

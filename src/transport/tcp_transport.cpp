@@ -23,6 +23,20 @@ namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
+constexpr std::int64_t kBackoffInitialMs = 50;
+constexpr std::int64_t kBackoffMaxMs = 2000;
+/// Backoff cap used until a peer has been identified at least once.
+/// Initial platform assembly races the peers' bind order: a dial refused at
+/// boot because the peer has not bound yet should retry quickly, not earn
+/// the multi-second cap meant for real outages.
+constexpr std::int64_t kBackoffPreconnectMaxMs = 250;
+/// Abort a non-blocking connect() still pending after this long and redial
+/// from a fresh socket (fresh ephemeral port). Without a deadline one
+/// attempt whose SYNs vanish — firewalled peer, or a stale TIME-WAIT tuple
+/// swallowing the handshake on loopback — can wedge the kernel's
+/// retransmit cycle for minutes while the backoff loop waits on it.
+constexpr std::int64_t kConnectTimeoutMs = 3000;
+
 int MakeSocket() {
   return ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
 }
@@ -47,7 +61,7 @@ TcpTransport::TcpTransport(const NodeConfig& config, NodeId self,
   RADAR_CHECK(config.Has(self));
   for (const NodeEntry& entry : config.nodes()) {
     if (entry.id == self) continue;
-    peers_[entry.id].backoff_ms = options_.backoff_initial_ms;
+    peers_[entry.id].backoff_ms = kBackoffInitialMs;
   }
 }
 
@@ -203,9 +217,8 @@ void TcpTransport::StartDialsDue(std::int64_t now_us) {
 
 void TcpTransport::ScheduleRedial(NodeId peer, std::int64_t now_us) {
   PeerState& state = PeerOf(peer);
-  const std::int64_t cap = state.ever_identified
-                               ? options_.backoff_max_ms
-                               : options_.backoff_preconnect_max_ms;
+  const std::int64_t cap =
+      state.ever_identified ? kBackoffMaxMs : kBackoffPreconnectMaxMs;
   state.backoff_ms = std::min(state.backoff_ms, cap);
   state.next_dial_at_us = now_us + state.backoff_ms * 1000;
   state.backoff_ms = std::min(state.backoff_ms * 2, cap);
@@ -235,7 +248,7 @@ void TcpTransport::Dial(NodeId peer, std::int64_t now_us) {
     RADAR_LOG_DEBUG("[tcp %d] dial peer=%d fd=%d in progress\n", self_, peer,
                     fd);
     conn.connecting = true;
-    conn.connect_deadline_us = now_us + options_.connect_timeout_ms * 1000;
+    conn.connect_deadline_us = now_us + kConnectTimeoutMs * 1000;
     conns_.emplace(fd, std::move(conn));
   } else {
     RADAR_LOG_DEBUG("[tcp %d] dial peer=%d failed: %s\n", self_, peer,
@@ -289,7 +302,7 @@ void TcpTransport::IdentifyConn(int fd, Conn& conn, NodeId peer) {
   }
   state.fd = fd;
   state.ever_identified = true;
-  state.backoff_ms = options_.backoff_initial_ms;
+  state.backoff_ms = kBackoffInitialMs;
   ++stats_.connects;
   // Drain the spool ahead of new traffic, preserving send order across
   // the outage.

@@ -41,20 +41,6 @@ class TcpTransport final : public Transport {
     /// Append every received frame here (the replay capture); empty
     /// disables capture.
     std::string capture_path;
-    std::int64_t backoff_initial_ms = 50;
-    std::int64_t backoff_max_ms = 2000;
-    /// Backoff cap used until a peer has been identified at least once.
-    /// Initial platform assembly races the peers' bind order: a dial
-    /// refused at boot because the peer has not bound yet should retry
-    /// quickly, not earn the multi-second cap meant for real outages.
-    std::int64_t backoff_preconnect_max_ms = 250;
-    /// Abort a non-blocking connect() still pending after this long and
-    /// redial from a fresh socket (fresh ephemeral port). Without a
-    /// deadline one attempt whose SYNs vanish — firewalled peer, or a
-    /// stale TIME-WAIT tuple swallowing the handshake on loopback — can
-    /// wedge the kernel's retransmit cycle for minutes while the backoff
-    /// loop waits on it.
-    std::int64_t connect_timeout_ms = 3000;
   };
 
   struct Stats {

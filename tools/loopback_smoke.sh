@@ -13,7 +13,8 @@
 #      byte-identical radar.report/1 JSON across two invocations (cmp).
 #
 # Before booting anything it also checks that every tool refuses
-# malformed numeric flags with exit status 2.
+# malformed numeric flags with exit status 2, and at boot and after the
+# restart it waits until every pair of hosts has identified each other.
 #
 # Usage: tools/loopback_smoke.sh <build-bin-dir> [work-dir]
 #   <build-bin-dir>  directory holding radar-hostd, radar-redirectd,
@@ -91,7 +92,9 @@ radar-replay --config nodes.conf --capture capture.binlog --out r.json --num-obj
 BAD
 
 start_hostd() {
-  "${BIN}/radar-hostd" --config nodes.conf --id "$1" \
+  # RADAR_DEBUG=1: the connection trace in hostd-<id>.log shows which
+  # peers each host identified.
+  RADAR_DEBUG=1 "${BIN}/radar-hostd" --config nodes.conf --id "$1" \
     --num-objects "${NUM_OBJECTS}" --state-dir state --spool-dir spool \
     --summary "hostd-$1.json" --poll-ms 5 >"hostd-$1.log" 2>&1 &
   HOSTD_PID=$!
@@ -128,10 +131,29 @@ wait_ready() {
   fail "hosts $* never attached to the redirector (ready markers missing)"
 }
 
+# Hosts dial each other (the lower id dials), so every host must identify
+# every other one — the path a placement round's CreateObj takes.
+wait_hosts_paired() {
+  for _ in $(seq 1 300); do
+    local missing=""
+    for a in 1 2 3; do
+      for b in 1 2 3; do
+        [ "${a}" = "${b}" ] && continue
+        grep -q "identify fd=[0-9]* peer=${b} " "hostd-${a}.log" \
+          || missing="${missing} ${a}->${b}"
+      done
+    done
+    [ -z "${missing}" ] && return 0
+    sleep 0.1
+  done
+  fail "hosts never identified each other:${missing}"
+}
+
 # Phase 1: everyone up — every request must find a live replica. workctl
 # retries its first dial until the daemons finish binding, so no sleep
 # race here; give it one respawn for slow CI machines anyway.
 wait_ready 1 2 3
+wait_hosts_paired
 run_load 36 up || { sleep 1; run_load 36 up2; } \
   || fail "baseline workload had failures ($(cat workctl-up*.json))"
 
@@ -154,6 +176,7 @@ grep -q '"ok":24' workctl-down.json \
 rm -f state/ready-2
 start_hostd 2
 wait_ready 2
+wait_hosts_paired
 run_load 36 restored || { sleep 1; run_load 36 restored2; } \
   || fail "post-restart workload had failures ($(cat workctl-restored*.json))"
 

@@ -153,7 +153,9 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << error << "\n";
     return 1;
   }
-  transport.ConnectTo(config->redirector());
+  for (const NodeId peer : config->PeersToDial(flags.id)) {
+    transport.ConnectTo(peer);
+  }
   if (!node.Init(&error)) {
     std::cerr << "error: " << error << "\n";
     return 1;
