@@ -3,7 +3,6 @@
 #include <array>
 #include <limits>
 #include <utility>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/check.h"
@@ -127,19 +126,20 @@ void HostNode::OnFrame(NodeId from, const wire::DecodedFrame& frame) {
   }
 }
 
+// RADAR_HOT: HostNode request servicing (one per fetch)
 void HostNode::HandleRequest(NodeId from, std::uint64_t seq,
                              const wire::Request& req) {
   // Preference path of the response: this host, then the client's gateway
   // (real mode has no router database, so the path is the two endpoints).
   // Only a host gateway joins it: every node on the path is a placement
   // candidate, and a client or the redirector never answers a CreateObj.
-  std::vector<NodeId> path;
-  path.push_back(agent_.self());
+  request_path_.clear();
+  request_path_.push_back(agent_.self());
   if (config_.IsHost(req.gateway) && req.gateway != agent_.self()) {
-    path.push_back(req.gateway);
+    request_path_.push_back(req.gateway);
   }
-  const bool hosted =
-      req.object >= 0 && agent_.RecordServicedIfHosted(req.object, path);
+  const bool hosted = req.object >= 0 &&
+                      agent_.RecordServicedIfHosted(req.object, request_path_);
   if (hosted) {
     ++counters_.requests_serviced;
   } else {
@@ -147,6 +147,7 @@ void HostNode::HandleRequest(NodeId from, std::uint64_t seq,
   }
   transport_->Send(from, wire::Ack{seq, hosted, false});
 }
+// RADAR_HOT_END
 
 void HostNode::HandleCreate(NodeId from, std::uint64_t seq,
                             core::CreateObjMethod method, ObjectId object,

@@ -37,6 +37,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "binlog/binlog.h"
 #include "core/host_agent.h"
@@ -139,6 +140,8 @@ class HostNode final : public Handler, private core::PlacementContext {
   CliqueDistance distance_;
   binlog::BinlogWriter wal_;
   std::map<NodeId, PeerStat> peer_stats_;
+  /// HandleRequest's preference path, reused across requests.
+  std::vector<NodeId> request_path_;
   /// The running placement round (declared after agent_, which its frame
   /// refers to) and the exchange it waits on: the peer that must Ack the
   /// frame sent under awaiting_seq_ (kInvalidNode when none).

@@ -27,6 +27,7 @@ void RedirectorNode::OnFrame(NodeId from, const wire::DecodedFrame& frame) {
   // would register a client as a replica holder or relay its "load".
   const bool from_host = config_.IsHost(from);
   switch (wire::TypeOf(frame.msg)) {
+    // RADAR_HOT: RedirectorNode request redirect (Fig. 2, one per request)
     case wire::MsgType::kRequest: {
       const auto& req = std::get<wire::Request>(frame.msg);
       NodeId host = kInvalidNode;
@@ -42,6 +43,7 @@ void RedirectorNode::OnFrame(NodeId from, const wire::DecodedFrame& frame) {
       transport_->Send(from, wire::Redirect{req.object, host});
       break;
     }
+    // RADAR_HOT_END
     case wire::MsgType::kReplicate: {
       // A host reports it created a copy (or bumped its affinity) after
       // accepting a CreateObj — recorded after the fact, so the registry

@@ -57,7 +57,8 @@ TcpTransport::TcpTransport(const NodeConfig& config, NodeId self,
       self_(self),
       role_(role),
       handler_(handler),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      recv_buf_(kReadChunk) {
   RADAR_CHECK(config.Has(self));
   for (const NodeEntry& entry : config.nodes()) {
     if (entry.id == self) continue;
@@ -153,15 +154,16 @@ bool TcpTransport::EnsureSpool(PeerState& peer_state, NodeId peer) {
   return peer_state.spool.Open(path, options_.fsync, &error);
 }
 
+// RADAR_HOT: Send (encode into the connected peer's write buffer)
 std::uint64_t TcpTransport::Send(NodeId to, const wire::Message& msg) {
   const std::uint64_t seq = next_seq_++;
-  const std::vector<std::uint8_t> bytes = wire::Encode(seq, msg);
   PeerState& peer = PeerOf(to);
   const auto conn_it = peer.fd >= 0 ? conns_.find(peer.fd) : conns_.end();
   if (conn_it != conns_.end()) {
-    QueueBytes(conn_it->second, bytes.data(), bytes.size());
+    wire::EncodeAppend(conn_it->second.wbuf, seq, msg);
     ++stats_.frames_sent;
   } else if (EnsureSpool(peer, to)) {
+    const std::vector<std::uint8_t> bytes = wire::Encode(seq, msg);
     if (peer.spool.Append(Now(), self_, to, bytes.data(), bytes.size())) {
       ++peer.spool_depth;
       ++stats_.frames_spooled;
@@ -173,6 +175,7 @@ std::uint64_t TcpTransport::Send(NodeId to, const wire::Message& msg) {
   }
   return seq;
 }
+// RADAR_HOT_END
 
 bool TcpTransport::IsPeerUp(NodeId to) const {
   const auto it = peers_.find(to);
@@ -189,16 +192,6 @@ bool TcpTransport::Flushed() const {
     if (conn.connecting || conn.woff < conn.wbuf.size()) return false;
   }
   return true;
-}
-
-void TcpTransport::QueueBytes(Conn& conn, const std::uint8_t* data,
-                              std::size_t size) {
-  // Compact the already-written prefix before growing the buffer.
-  if (conn.woff > 0 && conn.woff == conn.wbuf.size()) {
-    conn.wbuf.clear();
-    conn.woff = 0;
-  }
-  conn.wbuf.insert(conn.wbuf.end(), data, data + size);
 }
 
 void TcpTransport::StartDialsDue(std::int64_t now_us) {
@@ -281,9 +274,7 @@ void TcpTransport::OnConnected(int fd, Conn& conn) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   conn.connecting = false;
   // Identify ourselves first; the peer adopts the connection on receipt.
-  const std::vector<std::uint8_t> hello =
-      wire::Encode(next_seq_++, wire::Hello{self_, role_});
-  QueueBytes(conn, hello.data(), hello.size());
+  wire::EncodeAppend(conn.wbuf, next_seq_++, wire::Hello{self_, role_});
 }
 
 void TcpTransport::IdentifyConn(int fd, Conn& conn, NodeId peer) {
@@ -310,7 +301,8 @@ void TcpTransport::IdentifyConn(int fd, Conn& conn, NodeId peer) {
     std::string error;
     if (const auto spooled = binlog::ReadBinlog(SpoolPath(peer), &error)) {
       for (const binlog::Record& record : spooled->records) {
-        QueueBytes(conn, record.payload.data(), record.payload.size());
+        conn.wbuf.insert(conn.wbuf.end(), record.payload.begin(),
+                         record.payload.end());
         ++stats_.frames_drained;
         ++stats_.frames_sent;
       }
@@ -349,20 +341,19 @@ void TcpTransport::ReadReady(int fd) {
   if (it == conns_.end()) return;
   Conn& conn = it->second;
   while (true) {
-    const std::size_t old_size = conn.rbuf.size();
-    conn.rbuf.resize(old_size + kReadChunk);
-    const ssize_t n = ::recv(fd, conn.rbuf.data() + old_size, kReadChunk, 0);
+    const ssize_t n = ::recv(fd, recv_buf_.data(), recv_buf_.size(), 0);
     if (n > 0) {
-      conn.rbuf.resize(old_size + static_cast<std::size_t>(n));
-      if (static_cast<std::size_t>(n) < kReadChunk) break;
+      conn.rbuf.insert(conn.rbuf.end(), recv_buf_.begin(),
+                       recv_buf_.begin() + n);
+      if (static_cast<std::size_t>(n) < recv_buf_.size()) break;
       continue;
     }
-    conn.rbuf.resize(old_size);
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
     CloseConn(fd);  // orderly close or hard error
     return;
   }
+  // RADAR_HOT: ReadReady dispatch loop (decode, capture, handler)
   std::size_t off = 0;
   while (off < conn.rbuf.size()) {
     const wire::DecodeResult decoded =
@@ -402,6 +393,7 @@ void TcpTransport::ReadReady(int fd) {
   }
   conn.rbuf.erase(conn.rbuf.begin(),
                   conn.rbuf.begin() + static_cast<std::ptrdiff_t>(off));
+  // RADAR_HOT_END
 }
 
 void TcpTransport::WriteReady(int fd) {
@@ -419,6 +411,11 @@ void TcpTransport::WriteReady(int fd) {
     OnConnected(fd, conn);
     IdentifyConn(fd, conn, conn.peer);
   }
+  if (!WriteQueued(fd, conn)) CloseConn(fd);
+}
+
+// RADAR_HOT: pre-poll write of everything the brains queued
+bool TcpTransport::WriteQueued(int fd, Conn& conn) {
   while (conn.woff < conn.wbuf.size()) {
     const ssize_t n = ::send(fd, conn.wbuf.data() + conn.woff,
                              conn.wbuf.size() - conn.woff, MSG_NOSIGNAL);
@@ -426,14 +423,27 @@ void TcpTransport::WriteReady(int fd) {
       conn.woff += static_cast<std::size_t>(n);
       continue;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
     if (errno == EINTR) continue;
-    CloseConn(fd);
-    return;
+    return false;
   }
   conn.wbuf.clear();
   conn.woff = 0;
+  return true;
 }
+
+void TcpTransport::WriteAllQueued() {
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    const int fd = it->first;
+    if (it->second.connecting || WriteQueued(fd, it->second)) {
+      ++it;
+      continue;
+    }
+    CloseConn(fd);  // OnPeerDown runs brain code, which may touch conns_
+    it = conns_.upper_bound(fd);
+  }
+}
+// RADAR_HOT_END
 
 void TcpTransport::AbortStalledDials(std::int64_t now_us) {
   std::vector<int> expired;
@@ -454,22 +464,26 @@ void TcpTransport::PollOnce(int timeout_ms) {
   if (!started_) return;
   AbortStalledDials(Now());
   StartDialsDue(Now());
-  std::vector<pollfd> fds;
-  fds.reserve(conns_.size() + 1);
+  // Replies queued since the last iteration leave now, not after a poll()
+  // that would only report POLLOUT. Whatever is still queued afterwards is
+  // there because the kernel returned EAGAIN: only those sockets, and
+  // connects in flight, wait for POLLOUT.
+  WriteAllQueued();
+  pollfds_.clear();
   if (listen_fd_ >= 0) {
-    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    pollfds_.push_back(pollfd{listen_fd_, POLLIN, 0});
   }
   for (const auto& [fd, conn] : conns_) {
     short events = POLLIN;
     if (conn.connecting || conn.woff < conn.wbuf.size()) {
       events = static_cast<short>(events | POLLOUT);
     }
-    fds.push_back(pollfd{fd, events, 0});
+    pollfds_.push_back(pollfd{fd, events, 0});
   }
-  const int ready =
-      ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
+  const int ready = ::poll(pollfds_.data(),
+                           static_cast<nfds_t>(pollfds_.size()), timeout_ms);
   if (ready <= 0) return;
-  for (const pollfd& p : fds) {
+  for (const pollfd& p : pollfds_) {
     if (p.revents == 0) continue;
     if (p.fd == listen_fd_) {
       AcceptReady();

@@ -10,13 +10,18 @@
 // keeps it that way.
 //
 // Reliability model: a frame handed to Send is delivered to the peer's
-// brain at-most-once per connection attempt, in order. Frames queued to a
-// peer that is down (or that dies mid-flight with the frame still
-// buffered) go to a per-peer disk spool; the whole spool is re-sent ahead
-// of new traffic when the peer identifies itself again, then truncated.
-// Brains must therefore treat unacked exchanges as refusals (HostNode
-// does) — the spool gives the control plane continuity across restarts,
-// not exactly-once semantics.
+// brain at-most-once per connection attempt, in order. Frames sent while
+// the peer is down go to a per-peer disk spool; the whole spool is re-sent
+// ahead of new traffic when the peer identifies itself again, then
+// truncated. Frames still queued on a connection when it dies are
+// discarded with it, not spooled. Brains must therefore treat unacked
+// exchanges as refusals (HostNode does) — the spool gives the control
+// plane continuity across restarts, not exactly-once semantics.
+//
+// I/O path: Send encodes into the connection's write buffer and touches
+// no socket, so no handler callback can close a connection in the middle
+// of a read. PollOnce writes every queued buffer before it blocks in
+// poll(), so a reply leaves without waiting for a POLLOUT wakeup.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +32,8 @@
 #include "binlog/binlog.h"
 #include "transport/node_config.h"
 #include "transport/transport.h"
+
+struct pollfd;
 
 namespace radar::transport {
 
@@ -75,8 +82,10 @@ class TcpTransport final : public Transport {
   /// connection to it alive (with backoff) from now on.
   void ConnectTo(NodeId peer);
 
-  /// Runs one poll iteration: due dials, accepts, reads (frames dispatch
-  /// to the handler from here), writes. Blocks at most `timeout_ms`.
+  /// Runs one poll iteration: due dials, writes of everything queued
+  /// since the last one, then a poll() that blocks at most `timeout_ms`
+  /// for accepts, reads (frames dispatch to the handler from here) and
+  /// writes the kernel pushed back on.
   void PollOnce(int timeout_ms);
 
   /// Closes every socket (idempotent; the destructor calls it).
@@ -102,6 +111,7 @@ class TcpTransport final : public Transport {
     bool connecting = false;  ///< non-blocking connect() still in progress
     std::int64_t connect_deadline_us = 0;  ///< abort the dial past this
     std::vector<std::uint8_t> rbuf;
+    /// Frames are encoded straight onto its end; emptied once written.
     std::vector<std::uint8_t> wbuf;
     std::size_t woff = 0;  ///< bytes of wbuf already written
   };
@@ -132,11 +142,16 @@ class TcpTransport final : public Transport {
   /// Connection is identified as `peer`: adopt it, drain the spool, notify.
   void IdentifyConn(int fd, Conn& conn, NodeId peer);
   void ReadReady(int fd);
+  /// POLLOUT: completes a pending connect(), then writes what is queued.
   void WriteReady(int fd);
+  /// Hands the connection's queued bytes to the kernel until it is empty
+  /// or the kernel returns EAGAIN. False on a hard socket error.
+  bool WriteQueued(int fd, Conn& conn);
+  /// WriteQueued for every established connection, closing the failed.
+  void WriteAllQueued();
   /// Tears the connection down; notifies OnPeerDown when it was the
   /// peer's identified connection.
   void CloseConn(int fd);
-  void QueueBytes(Conn& conn, const std::uint8_t* data, std::size_t size);
 
   const NodeConfig& config_;
   NodeId self_;
@@ -146,6 +161,11 @@ class TcpTransport final : public Transport {
   int listen_fd_ = -1;
   std::map<int, Conn> conns_;
   std::map<NodeId, PeerState> peers_;
+  /// Every recv() lands here, allocated once; only the bytes that arrived
+  /// are appended to the connection's rbuf.
+  std::vector<std::uint8_t> recv_buf_;
+  /// poll() set, rebuilt in place each iteration.
+  std::vector<pollfd> pollfds_;
   binlog::BinlogWriter capture_;
   std::uint64_t next_seq_ = 1;
   Stats stats_;

@@ -11,11 +11,14 @@
 // loop on ephemeral 127.0.0.1 ports.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -1069,6 +1072,89 @@ TEST(TcpTransportTest, CorruptStreamDropsConnectionAndDialerReconnects) {
   EXPECT_EQ(r1.ups, (std::vector<NodeId>{2, 2}));
   ::close(first);
   ::close(second);
+}
+
+TEST(TcpTransportTest, FrameDribbledOneByteAtATimeIsDeliveredOnce) {
+  // Host 2 is a raw socket that writes its Hello and one Request a byte
+  // at a time, each byte in its own poll iteration of the dialer.
+  Listener host2;
+  const NodeConfig config = LoopbackConfig(host2);
+  Recorder r1;
+  TcpTransport t1(config, 1, wire::PeerRole::kHost, &r1, {});
+  std::string error;
+  ASSERT_TRUE(t1.Start(&error)) << error;
+  t1.ConnectTo(2);
+  int peer = -1;
+  ASSERT_TRUE(PollUntil({&t1}, [&] {
+    if (peer < 0) peer = host2.Accept();
+    return peer >= 0 && t1.IsPeerUp(2);
+  }));
+  const int one = 1;
+  ASSERT_EQ(::setsockopt(peer, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)),
+            0);
+  std::vector<std::uint8_t> bytes =
+      wire::Encode(1, wire::Hello{2, wire::PeerRole::kHost});
+  wire::EncodeAppend(bytes, 7, wire::Request{42, 2});
+  for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
+    ASSERT_EQ(::send(peer, &bytes[i], 1, MSG_NOSIGNAL), 1);
+    t1.PollOnce(100);
+    ASSERT_TRUE(r1.seen.empty()) << "delivered after byte " << i;
+  }
+  ASSERT_EQ(::send(peer, &bytes.back(), 1, MSG_NOSIGNAL), 1);
+  ASSERT_TRUE(PollUntil({&t1}, [&] { return !r1.seen.empty(); }));
+  for (int i = 0; i < 10; ++i) t1.PollOnce(1);
+  ASSERT_EQ(r1.seen.size(), 1u);
+  EXPECT_EQ(r1.seen[0].from, 2);
+  EXPECT_EQ(r1.seen[0].frame.seq, 7u);
+  EXPECT_EQ(std::get<wire::Request>(r1.seen[0].frame.msg).object, 42);
+  EXPECT_EQ(t1.stats().frames_received, 1u);
+  EXPECT_EQ(t1.stats().decode_errors, 0u);
+  EXPECT_TRUE(t1.IsPeerUp(2));
+  ::close(peer);
+}
+
+TEST(TcpTransportTest, BurstPastTheSocketBuffersArrivesInOrder) {
+  Listener port2;
+  const NodeConfig config = LoopbackConfig(port2);
+  port2.Close();
+  Recorder r1, r2;
+  TcpTransport t1(config, 1, wire::PeerRole::kHost, &r1, {});
+  TcpTransport t2(config, 2, wire::PeerRole::kHost, &r2, {});
+  std::string error;
+  ASSERT_TRUE(t1.Start(&error)) << error;
+  ASSERT_TRUE(t2.Start(&error)) << error;
+  t1.ConnectTo(2);
+  ASSERT_TRUE(PollUntil({&t1, &t2},
+                        [&] { return t1.IsPeerUp(2) && t2.IsPeerUp(1); }));
+
+  // More bytes than one loopback connection's kernel buffers hold while
+  // the receiver does not read: at least 8 MiB (tcp_wmem's usual maximum
+  // is 4 MiB), twice this kernel's maximum when it is larger. 28-byte
+  // frames straddle every 64 KiB read.
+  std::size_t wmem_min = 0, wmem_default = 0, wmem_max = 0;
+  std::ifstream("/proc/sys/net/ipv4/tcp_wmem") >> wmem_min >> wmem_default >>
+      wmem_max;
+  const std::size_t burst = std::max<std::size_t>(8u << 20, 2 * wmem_max);
+  const std::size_t frame_size = wire::Encode(1, wire::Request{0, 1}).size();
+  std::vector<ObjectId> sent;
+  for (ObjectId x = 0; sent.size() * frame_size <= burst; ++x) {
+    t1.Send(2, wire::Request{x, 1});
+    sent.push_back(x);
+  }
+  t1.PollOnce(0);
+  EXPECT_FALSE(t1.Flushed()) << "the kernel took the whole burst";
+
+  ASSERT_TRUE(PollUntil({&t1, &t2}, [&] {
+    return r2.seen.size() == sent.size();
+  })) << r2.seen.size() << " of " << sent.size() << " frames arrived";
+  EXPECT_EQ(RequestedObjects(r2), sent);
+  for (std::size_t i = 1; i < r2.seen.size(); ++i) {
+    ASSERT_GT(r2.seen[i].frame.seq, r2.seen[i - 1].frame.seq) << "frame " << i;
+  }
+  EXPECT_EQ(t2.stats().frames_received, sent.size());
+  EXPECT_EQ(t2.stats().decode_errors, 0u);
+  EXPECT_EQ(t1.stats().frames_sent, sent.size());
+  EXPECT_TRUE(t1.Flushed());
 }
 
 /// Records every frame and forwards it to the brain.
