@@ -40,63 +40,29 @@ void HostAgent::EraseRecord(ObjectId x) {
 }
 
 std::uint32_t HostAgent::CountFor(const CountRow& row, NodeId p) {
-  // Sums over possible duplicates, so it is exact whether or not the row
-  // has been coalesced. Rows are a few cache lines; the branchy binary
-  // search this replaces was slower in practice.
-  std::uint32_t total = 0;
   for (const CountEntry& e : row) {
-    if (e.node == p) total += e.count;
+    if (e.node == p) return e.count;
   }
-  return total;
+  return 0;
 }
 
-void HostAgent::BumpCount(CountRow& row, NodeId p) {
-  // Append-only fast path: sorted-insert bumps (binary search + memmove)
-  // were ~30% of the request engine's profile. Coalescing only when the
-  // row is about to reallocate, with the post-coalesce reserve keeping at
-  // least half the capacity appendable, amortizes the merge to a few
-  // word operations per bump even when nearly every bump repeats the same
-  // few hot nodes.
-  if (row.size() == row.capacity() && row.size() >= kCountCoalesceMin) {
-    CoalesceRow(row);
-    if (row.size() * 2 > row.capacity()) {
-      row.reserve(row.capacity() * 2);
+std::size_t HostAgent::BumpCount(CountRow& row, NodeId p, std::size_t from,
+                                 std::size_t known) {
+  const auto is_p = [p](const CountEntry& e) { return e.node == p; };
+  const auto begin = row.begin();
+  const auto end = begin + static_cast<std::ptrdiff_t>(known);
+  const auto start = from < known ? begin + static_cast<std::ptrdiff_t>(from)
+                                  : end;
+  auto it = std::find_if(start, end, is_p);
+  if (it == end) {
+    it = std::find_if(begin, start, is_p);
+    if (it == start) {
+      row.push_back(CountEntry{p, 1});
+      return row.size();
     }
   }
-  row.push_back(CountEntry{p, 1});
-}
-
-void HostAgent::CoalesceRow(CountRow& row) {
-  if (row.size() < 2) return;
-  // One linear pass through the row, compacting in place (the write
-  // cursor never passes the read cursor). The scratch table maps a node
-  // id to its compacted position; re-zeroing it is a memset of ~2x the
-  // row, which beats any comparison sort by the sort's log factor.
-  std::size_t table = 16;
-  while (table < 2 * row.size()) table *= 2;
-  const std::size_t mask = table - 1;
-  coalesce_keys_.assign(table, kInvalidNode);
-  coalesce_pos_.resize(table);
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < row.size(); ++r) {
-    const NodeId node = row[r].node;
-    std::size_t slot =
-        (static_cast<std::uint32_t>(node) * 2654435761u) & mask;
-    for (;;) {
-      if (coalesce_keys_[slot] == node) {
-        row[coalesce_pos_[slot]].count += row[r].count;
-        break;
-      }
-      if (coalesce_keys_[slot] == kInvalidNode) {
-        coalesce_keys_[slot] = node;
-        coalesce_pos_[slot] = static_cast<std::uint32_t>(w);
-        row[w++] = row[r];
-        break;
-      }
-      slot = (slot + 1) & mask;
-    }
-  }
-  row.resize(w);
+  ++it->count;
+  return static_cast<std::size_t>(it - begin) + 1;
 }
 
 void HostAgent::AddInitialReplica(ObjectId x, int affinity) {
@@ -127,8 +93,10 @@ void HostAgent::RecordServicedAt(Handle h,
   RADAR_CHECK_MSG(preference_path.front() == self_,
                   "preference path must start at the servicing host");
   CountRow& row = CountsRow(h);
+  const std::size_t known = row.size();
+  std::size_t next = 0;
   for (const NodeId p : preference_path) {
-    BumpCount(row, p);
+    next = BumpCount(row, p, next, known);
   }
   ++serviced_[h];
   ++serviced_interval_total_;
@@ -319,13 +287,10 @@ void HostAgent::CandidatesByFarthest(const CountRow& counts,
   // desc, id asc) key is a total order, so the result is independent of
   // the row's entry order. Both buffers keep their capacity — a placement
   // round calls this for every warm object, and per-call vectors
-  // dominated the round's profile. CountFor sums a node's entries, so a
-  // row that requests appended to while the round was suspended works
-  // too: its repeated nodes sort adjacent and the copy-out skips them.
+  // dominated the round's profile.
   candidate_scratch_.clear();
   for (const CountEntry& e : counts) {
-    if (e.node != self_ &&
-        static_cast<double>(CountFor(counts, e.node)) > min_count) {
+    if (e.node != self_ && static_cast<double>(e.count) > min_count) {
       candidate_scratch_.push_back(Candidate{ctx.Distance(self_, e.node),
                                              e.node});
     }
@@ -336,9 +301,7 @@ void HostAgent::CandidatesByFarthest(const CountRow& counts,
               return a.p < b.p;
             });
   out->clear();
-  for (const Candidate& c : candidate_scratch_) {
-    if (out->empty() || out->back() != c.p) out->push_back(c.p);
-  }
+  for (const Candidate& c : candidate_scratch_) out->push_back(c.p);
 }
 
 std::vector<HostAgent::Ranked> HostAgent::RankForOffload() {
@@ -346,8 +309,7 @@ std::vector<HostAgent::Ranked> HostAgent::RankForOffload() {
   std::vector<Ranked> ranked;
   ranked.reserve(records_.size());
   records_.ForEachKeyAscending([&](std::int64_t key, Handle h) {
-    CountRow& counts = CountsRow(h);
-    CoalesceRow(counts);  // the max-fraction scan needs one entry per node
+    const CountRow& counts = CountsRow(h);
     const auto total = static_cast<double>(CountFor(counts, self_));
     double best = 0.0;
     if (total > 0.0) {
@@ -398,10 +360,6 @@ PlacementRound HostAgent::Placement(PlacementContext& ctx, SimTime now) {
     if (h == Records::kNoHandle) continue;
     const double seconds = EpochSeconds(records_.At(h), now);
     if (seconds <= 0.0) continue;
-    // One coalesce shortens both candidate walks below to one entry per
-    // node (a request arriving while the round waits appends to the row
-    // again; CandidatesByFarthest stays exact on that).
-    CoalesceRow(CountsRow(h));
     const auto total = static_cast<double>(CountFor(CountsRow(h), self_));
     const double unit_rate =
         total / static_cast<double>(records_.At(h).aff) / seconds;

@@ -26,15 +26,16 @@
 // per-interval measurement fields (serviced counts, measured loads) live
 // in parallel flat arrays keyed by the record's slab handle. The
 // cnt(p, x) access counts are sparse: one (node, count) vector per slot,
-// holding only the nodes that actually appeared on a preference path this
-// epoch — a dense slots x num_nodes matrix would be 4 GB at 10^5 objects
-// on a 10k-node topology. Rows are write-optimized: a bump is a plain
-// append (requests outnumber placement rounds by orders of magnitude, so
-// the bump is the agent's hottest operation), duplicates are merged by an
-// amortized-O(1) hash coalesce when a row fills its capacity, and the
-// readers — placement, which runs once per epoch — coalesce a row before
-// scanning it. Rows are cleared (capacity retained) on epoch reset and
-// slot recycling, so steady-state bookkeeping still allocates nothing.
+// holding one entry for each node that appeared on a preference path
+// this epoch, in first-appearance order — a dense slots x num_nodes
+// matrix would be 4 GB at 10^5 objects on a 10k-node topology. A row's
+// size is the union of its paths, so a warm object costs a few entries,
+// not one per request. A bump searches the row from the entry after the
+// previous path node's, because a path's nodes first appear in path
+// order, and never searches the entries its own path appended: a fresh
+// row costs one append per path node. Rows are cleared (capacity
+// retained) on epoch reset and slot recycling, so steady-state
+// bookkeeping allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +89,9 @@ class HostAgent {
 
   /// Records one serviced request for x whose response travels along
   /// `preference_path` (routers from this host to the client's gateway,
-  /// inclusive; element 0 must be this host). Increments the access count
-  /// of every node on the path (Sec. 4.1) and the load counters.
+  /// inclusive; element 0 must be this host, and no node appears twice).
+  /// Increments the access count of every node on the path (Sec. 4.1)
+  /// and the load counters.
   void RecordServiced(ObjectId x, const std::vector<NodeId>& preference_path);
 
   /// RecordServiced when x is hosted; otherwise records the untracked
@@ -200,18 +202,12 @@ class HostAgent {
   using Handle = Records::Handle;
 
   /// One sparse access-count entry: node `node` appeared on `count`
-  /// preference paths this epoch. A row may hold several entries for the
-  /// same node between coalesces; CoalesceRow merges them (one entry per
-  /// node, deterministic first-appearance order).
+  /// preference paths this epoch. A row holds one entry per node.
   struct CountEntry {
     NodeId node;
     std::uint32_t count;
   };
   using CountRow = std::vector<CountEntry>;
-
-  /// Rows below this size are never coalesced mid-epoch; the vector's own
-  /// doubling absorbs them.
-  static constexpr std::size_t kCountCoalesceMin = 64;
 
   /// Handle of x's record; checks that x is hosted.
   Handle HandleOf(ObjectId x) const {
@@ -220,23 +216,20 @@ class HostAgent {
     return h;
   }
 
-  /// cnt(p, x) row of the record in slot `h` (sorted by node id).
+  /// cnt(p, x) row of the record in slot `h` (first-appearance order).
   CountRow& CountsRow(Handle h) { return counts_[h]; }
   const CountRow& CountsRow(Handle h) const { return counts_[h]; }
 
-  /// cnt(p, x) for one node: linear sum over the row, 0 when absent.
-  /// Correct on coalesced and uncoalesced rows alike.
+  /// cnt(p, x) for one node: its entry's count, 0 when absent.
   static std::uint32_t CountFor(const CountRow& row, NodeId p);
-  /// Increments cnt(p, x): appends a unit entry, coalescing first when
-  /// the row is full. O(1) amortized — this is the per-request hot path.
-  void BumpCount(CountRow& row, NodeId p);
-  /// Merges duplicate entries in place via a scratch hash (no sort:
-  /// a sort-based merge costs log(row) per bump amortized, which showed
-  /// up as the request engine's single hottest block). After this the
-  /// row holds one entry per node, in deterministic first-appearance
-  /// order. Capacity is retained. Readers that iterate entries
-  /// (placement, offload ranking) must coalesce first; CountFor need not.
-  void CoalesceRow(CountRow& row);
+  /// Increments cnt(p, x), appending p when the row's first `known`
+  /// entries have none for it, and returns the position after p's entry.
+  /// The search starts at `from` and wraps to the row's start: passing
+  /// the previous path node's result finds the next path node first.
+  /// `known` is the row's size before the current path; the entries past
+  /// it are that path's own nodes, which a path names once each.
+  static std::size_t BumpCount(CountRow& row, NodeId p, std::size_t from,
+                               std::size_t known);
 
   /// Creates x's record (and grows the parallel arrays to match the slab).
   Handle InsertRecord(ObjectId x);
@@ -288,8 +281,7 @@ class HostAgent {
   /// Writes to `out` the nodes other than self whose access count in
   /// `counts` exceeds `min_count`, in decreasing order of distance from
   /// self (ties: lower id first). Placement calls it O(objects) times per
-  /// round, so it reuses `out`'s capacity; a coalesced row makes it
-  /// cheapest.
+  /// round, so it reuses `out`'s capacity.
   void CandidatesByFarthest(const CountRow& counts, double min_count,
                             const PlacementContext& ctx,
                             std::vector<NodeId>* out);
@@ -305,9 +297,8 @@ class HostAgent {
   std::vector<std::uint32_t> serviced_;
   /// load(x_s) from the last completed interval (requests/sec), per slot.
   std::vector<double> load_;
-  /// Sparse cnt(p, x) rows, one per slot, append-ordered with duplicates
-  /// until coalesced. A cold object's row is empty; clear() keeps the
-  /// capacity for slot reuse.
+  /// Sparse cnt(p, x) rows, one per slot, one entry per node. A cold
+  /// object's row is empty; clear() keeps the capacity for slot reuse.
   std::vector<CountRow> counts_;
 
   // Scratch for CandidatesByFarthest (reused across calls; see above).
@@ -320,14 +311,6 @@ class HostAgent {
   /// frame at the start and hands it back at the end, so it owns what it
   /// iterates across suspensions and steady-state rounds reuse it.
   std::vector<NodeId> candidate_out_;
-
-  // Scratch for CoalesceRow: an open-addressing node -> compacted-
-  // position table, re-zeroed per coalesce (reused so steady-state
-  // coalescing never allocates). Sized to the row being merged, not to
-  // num_nodes — a hot row's distinct-node set is its path union, far
-  // smaller than the platform.
-  std::vector<NodeId> coalesce_keys_;
-  std::vector<std::uint32_t> coalesce_pos_;
 
   // Load measurement state. Estimate adjustments live in a two-slot
   // window: `cur` collects bounds for relocations in the running interval,

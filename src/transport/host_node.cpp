@@ -110,9 +110,12 @@ void HostNode::OnFrame(NodeId from, const wire::DecodedFrame& frame) {
       HandleAck(from, std::get<wire::Ack>(frame.msg));
       break;
     case wire::MsgType::kPlacementStat: {
+      // Load reports reach a host only through the redirector's relay,
+      // which accepts them from hosts alone.
       const auto& stat = std::get<wire::PlacementStat>(frame.msg);
-      if (stat.host != agent_.self() && config_.IsHost(stat.host) &&
-          stat.load >= 0.0 && stat.weight > 0.0) {
+      if (from == config_.redirector() && stat.host != agent_.self() &&
+          config_.IsHost(stat.host) && stat.load >= 0.0 &&
+          stat.weight > 0.0) {
         peer_stats_[stat.host] = PeerStat{stat.load, stat.weight};
         ++counters_.stats_seen;
       }
@@ -152,8 +155,10 @@ void HostNode::HandleRequest(NodeId from, std::uint64_t seq,
 void HostNode::HandleCreate(NodeId from, std::uint64_t seq,
                             core::CreateObjMethod method, ObjectId object,
                             double unit_load) {
+  // CreateObj comes from a peer host's placement round; from any other
+  // peer an accepted copy would be recorded by the redirector.
   core::CreateObjResponse resp;
-  if (object >= 0 && unit_load >= 0.0) {
+  if (config_.IsHost(from) && object >= 0 && unit_load >= 0.0) {
     resp = agent_.HandleCreateObj(method, object, unit_load,
                                   transport_->Now());
   }

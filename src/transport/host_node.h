@@ -11,10 +11,11 @@
 //     path is this host plus the request's gateway when that gateway is a
 //     host (real mode has no router database, and only a host can take a
 //     CreateObj),
-//   - Fig. 4 over the wire: incoming kReplicate/kMigrate CreateObj frames
-//     go through HandleCreateObj; on acceptance the *recipient* notifies
-//     the redirector of its new copy (the paper's "notify x's
-//     redirector", which keeps the registry a subset of physical copies),
+//   - Fig. 4 over the wire: kReplicate/kMigrate CreateObj frames from
+//     peer hosts go through HandleCreateObj (any other sender is
+//     refused); on acceptance the *recipient* notifies the redirector of
+//     its new copy (the paper's "notify x's redirector", which keeps the
+//     registry a subset of physical copies),
 //   - the placement round over the wire: each placement interval starts
 //     the agent's round (unless one is still running), and HostNode
 //     resolves its intents with frames it already speaks. CreateObj is a
@@ -25,7 +26,8 @@
 //     time, and an exchange with a peer that is down, or goes down before
 //     it answers, resolves as a refusal — a relocation can duplicate an
 //     object, never lose one. The round's queries are answered from the
-//     relayed PlacementStats (the Sec. 4.2.2 load directory) and
+//     PlacementStats the redirector relays (the Sec. 4.2.2 load
+//     directory; a report from any other peer is dropped) and
 //     CliqueDistance,
 //   - a state WAL: every replica-set change is appended to a binlog
 //     ('C' object affinity / 'D' object), so a SIGKILL'd daemon rebuilds

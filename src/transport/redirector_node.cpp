@@ -16,7 +16,6 @@ RedirectorNode::RedirectorNode(const NodeConfig& config, Transport* transport,
       redirector_(distance_, core::ProtocolParams{}.distribution_constant,
                   config.redirector()) {
   RADAR_CHECK_EQ(transport->self(), config.redirector());
-  redirector_.set_min_replicas(options_.min_replicas);
   for (ObjectId x = 0; x < options_.num_objects; ++x) {
     redirector_.RegisterObject(x, config_.InitialHome(x));
   }

@@ -18,7 +18,8 @@
 //     announced affinity is below the record), so a flapping connection
 //     never double-counts affinity,
 //   - a drop request is granted only for a recorded sole-affinity replica
-//     and only above the replica floor; anything else is refused.
+//     and only while another replica remains (the Redirector's default
+//     floor of one); anything else is refused.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +35,6 @@ class RedirectorNode final : public Handler {
   struct Options {
     /// Total object population (round-robin initial registration).
     std::int32_t num_objects = 0;
-    /// Drop-refusal floor (Redirector::set_min_replicas).
-    int min_replicas = 1;
   };
 
   struct Counters {

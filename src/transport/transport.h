@@ -4,11 +4,14 @@
 // are written against this pair of interfaces and nothing else: no
 // sockets, no wall clocks, no simulator types. The same brain object
 // then runs
-//   - under SimTransport (transport/sim_transport.h) inside the
-//     deterministic simulator, which is how the brains are unit-tested
-//     and how captured traffic is replayed, and
+//   - under SimTransport (transport/sim_transport.h) on a SimNet driven
+//     by the deterministic simulator, which is how transport_test tests
+//     the brains, and
 //   - under TcpTransport (transport/tcp_transport.h) inside the
 //     radar-hostd / radar-redirectd daemons on real sockets.
+// Captured traffic does not pass through the brains again: radar-replay
+// feeds the capture's request stream to HostingSimulation on a clique
+// topology (binlog/replay.h).
 //
 // radar_lint enforces the split: syscall and wall-clock tokens are
 // confined to src/transport/ + src/binlog/ (the transport-confinement

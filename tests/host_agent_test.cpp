@@ -49,6 +49,21 @@ TEST_F(HostAgentTest, RecordServicedCountsEveryPathNode) {
   EXPECT_EQ(agent_.AccessCount(1, 5), 1u);
   EXPECT_EQ(agent_.AccessCount(1, 6), 1u);
   EXPECT_EQ(agent_.AccessCount(1, 7), 0u);
+
+  // Hundreds of bumps into one row; in {0, 6, 2}, node 2's entry sits
+  // before node 6's, so finding it wraps to the row's start.
+  agent_.AddInitialReplica(2);
+  for (int round = 0; round < 100; ++round) {
+    agent_.RecordServiced(2, {0, 2, 5});
+    agent_.RecordServiced(2, {0, 2, 6});
+    agent_.RecordServiced(2, {0, 6, 2});
+    agent_.RecordServiced(2, {0});
+  }
+  EXPECT_EQ(agent_.AccessCount(2, 0), 400u);
+  EXPECT_EQ(agent_.AccessCount(2, 2), 300u);
+  EXPECT_EQ(agent_.AccessCount(2, 5), 100u);
+  EXPECT_EQ(agent_.AccessCount(2, 6), 200u);
+  EXPECT_EQ(agent_.AccessCount(2, 7), 0u);
 }
 
 TEST_F(HostAgentTest, SelfOnlyPathForLocalGateway) {

@@ -555,6 +555,16 @@ TEST(BrainTest, ReplicateNoteFromClientIsIgnored) {
   EXPECT_EQ(h.redirector_->redirector().ReplicaHosts(1),
             (std::vector<NodeId>{2}));
   EXPECT_EQ(h.AskRedirect(1, 3), 2);
+
+  // Nor may a client's CreateObj make host 1 take a copy, which host 1
+  // would then report to the redirector.
+  h.client_transport_->Send(1, wire::Replicate{1, 3, 1, 0.0});
+  h.client_transport_->Send(1, wire::Migrate{1, 3, 1, 0.0});
+  h.Settle();
+  EXPECT_FALSE(h.host(1).agent().HasObject(1));
+  EXPECT_EQ(h.host(1).counters().create_refused, 2u);
+  EXPECT_EQ(h.redirector_->redirector().ReplicaHosts(1),
+            (std::vector<NodeId>{2}));
 }
 
 TEST(BrainTest, ClientPlacementStatIsNeitherRelayedNorKept) {
@@ -563,6 +573,9 @@ TEST(BrainTest, ClientPlacementStatIsNeitherRelayedNorKept) {
   // answers a CreateObj.
   h.client_transport_->Send(0, wire::PlacementStat{3, 0.0, 1.0, 0});
   h.client_transport_->Send(1, wire::PlacementStat{3, 0.0, 1.0, 0});
+  // Nor may a client report another host idle: only the redirector's
+  // relays reach a host's load directory.
+  h.client_transport_->Send(1, wire::PlacementStat{2, 0.0, 1.0, 0});
   h.Settle();
   EXPECT_EQ(h.redirector_->counters().stats_relayed, 0u);
   EXPECT_EQ(h.host(1).counters().stats_seen, 0u);

@@ -83,9 +83,8 @@ radar-workctl --config nodes.conf --id 4 run --requests abc --objects 10
 radar-workctl --config nodes.conf --id 4 run --requests -4 --objects 10
 radar-workctl --config nodes.conf --id 4 run --requests 0 --objects 10
 radar-workctl --config nodes.conf --id 4 shutdown --target 1x
-radar-workctl --config nodes.conf --id 4 shutdown --target 0 --timeout-ms 9999999999
-radar-redirectd --config nodes.conf --num-objects -7 --poll-ms abc
-radar-redirectd --config nodes.conf --min-replicas 1.5
+radar-workctl --config nodes.conf --id 4 run --requests 10 --objects 9999999999
+radar-redirectd --config nodes.conf --num-objects -7
 radar-hostd --config nodes.conf --id 1 --num-objects 12x
 radar-hostd --config nodes.conf --id -1
 radar-replay --config nodes.conf --capture capture.binlog --out r.json --num-objects -1
@@ -96,14 +95,14 @@ start_hostd() {
   # peers each host identified.
   RADAR_DEBUG=1 "${BIN}/radar-hostd" --config nodes.conf --id "$1" \
     --num-objects "${NUM_OBJECTS}" --state-dir state --spool-dir spool \
-    --summary "hostd-$1.json" --poll-ms 5 >"hostd-$1.log" 2>&1 &
+    --summary "hostd-$1.json" >"hostd-$1.log" 2>&1 &
   HOSTD_PID=$!
   PIDS+=("${HOSTD_PID}")
 }
 
 "${BIN}/radar-redirectd" --config nodes.conf --num-objects "${NUM_OBJECTS}" \
   --spool-dir spool --capture capture.binlog --summary redirectd.json \
-  --poll-ms 5 >redirectd.log 2>&1 &
+  >redirectd.log 2>&1 &
 PIDS+=($!)
 
 start_hostd 1

@@ -28,8 +28,10 @@ struct Flags {
   std::string spool_dir;
   std::string summary_path;
   bool fsync = false;
-  int poll_ms = 20;
 };
+
+/// poll(2) timeout of the event loop; placement timers tick between polls.
+constexpr int kPollMs = 20;
 
 constexpr const char* kUsage =
     "usage: radar-hostd --config FILE --id N [options]\n"
@@ -39,8 +41,7 @@ constexpr const char* kUsage =
     "  --state-dir DIR   replica-set WAL lives at DIR/hostd-<id>.wal\n"
     "  --spool-dir DIR   per-peer frame spools (drain on reconnect)\n"
     "  --summary FILE    write radar.hostd/1 summary JSON on exit\n"
-    "  --fsync           fsync WAL and spools after every record\n"
-    "  --poll-ms MS      poll loop timeout (default 20)\n";
+    "  --fsync           fsync WAL and spools after every record\n";
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   using radar::transport::ParseToken;
@@ -63,8 +64,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->spool_dir = argv[++i];
     } else if (arg == "--summary" && has_value) {
       flags->summary_path = argv[++i];
-    } else if (arg == "--poll-ms" && has_value) {
-      valid = ParseToken(argv[++i], &flags->poll_ms) && flags->poll_ms >= 0;
     } else {
       std::cerr << "error: bad flag '" << arg << "'\n" << kUsage;
       return false;
@@ -171,7 +170,7 @@ int main(int argc, char** argv) {
           : flags.state_dir + "/ready-" + std::to_string(flags.id);
   bool ready_written = false;
   while (!node.shutdown_requested()) {
-    transport.PollOnce(flags.poll_ms);
+    transport.PollOnce(kPollMs);
     node.OnTick();
     if (!ready_written && !ready_path.empty() &&
         transport.IsPeerUp(config->redirector())) {

@@ -23,24 +23,23 @@ namespace {
 struct Flags {
   std::string config_path;
   std::int32_t num_objects = 0;
-  int min_replicas = 1;
   std::string spool_dir;
   std::string capture_path;
   std::string summary_path;
   bool fsync = false;
-  int poll_ms = 20;
 };
+
+/// poll(2) timeout of the event loop.
+constexpr int kPollMs = 20;
 
 constexpr const char* kUsage =
     "usage: radar-redirectd --config FILE [options]\n"
     "  --config FILE     node config (transport/node_config.h format)\n"
     "  --num-objects M   object population (round-robin initial homes)\n"
-    "  --min-replicas K  refuse drops below K live replicas (default 1)\n"
     "  --spool-dir DIR   per-peer frame spools (drain on reconnect)\n"
     "  --capture FILE    append every received frame for radar-replay\n"
     "  --summary FILE    write radar.realmode/1 summary JSON on exit\n"
-    "  --fsync           fsync spools/capture after every record\n"
-    "  --poll-ms MS      poll loop timeout (default 20)\n";
+    "  --fsync           fsync spools/capture after every record\n";
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   using radar::transport::ParseToken;
@@ -55,17 +54,12 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--num-objects" && has_value) {
       valid = ParseToken(argv[++i], &flags->num_objects) &&
               flags->num_objects >= 0;
-    } else if (arg == "--min-replicas" && has_value) {
-      valid = ParseToken(argv[++i], &flags->min_replicas) &&
-              flags->min_replicas >= 0;
     } else if (arg == "--spool-dir" && has_value) {
       flags->spool_dir = argv[++i];
     } else if (arg == "--capture" && has_value) {
       flags->capture_path = argv[++i];
     } else if (arg == "--summary" && has_value) {
       flags->summary_path = argv[++i];
-    } else if (arg == "--poll-ms" && has_value) {
-      valid = ParseToken(argv[++i], &flags->poll_ms) && flags->poll_ms >= 0;
     } else {
       std::cerr << "error: bad flag '" << arg << "'\n" << kUsage;
       return false;
@@ -142,7 +136,6 @@ int main(int argc, char** argv) {
 
   transport::RedirectorNode::Options ropt;
   ropt.num_objects = flags.num_objects;
-  ropt.min_replicas = flags.min_replicas;
   transport::RedirectorNode node(*config, &transport, ropt);
   transport.SetHandler(&node);
 
@@ -152,7 +145,7 @@ int main(int argc, char** argv) {
   }
 
   while (!node.shutdown_requested()) {
-    transport.PollOnce(flags.poll_ms);
+    transport.PollOnce(kPollMs);
   }
   for (int i = 0; i < 20 && !transport.Flushed(); ++i) {
     transport.PollOnce(10);

@@ -31,13 +31,14 @@ struct Flags {
   std::int64_t requests = 0;
   std::int32_t num_objects = 1;
   NodeId target = radar::kInvalidNode;
-  int timeout_ms = 5000;
 };
+
+/// Deadline of one exchange: a dial, a redirect, a fetch or a shutdown.
+constexpr std::int64_t kTimeoutUs = 5'000'000;
 
 constexpr const char* kUsage =
     "usage: radar-workctl --config FILE --id N run --requests R --objects M\n"
-    "       radar-workctl --config FILE --id N shutdown --target K\n"
-    "  --timeout-ms MS   per-exchange deadline (default 5000)\n";
+    "       radar-workctl --config FILE --id N shutdown --target K\n";
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   using radar::transport::ParseToken;
@@ -58,9 +59,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
               flags->num_objects >= 0;
     } else if (arg == "--target" && has_value) {
       valid = ParseToken(argv[++i], &flags->target) && flags->target >= 0;
-    } else if (arg == "--timeout-ms" && has_value) {
-      valid = ParseToken(argv[++i], &flags->timeout_ms) &&
-              flags->timeout_ms >= 0;
     } else {
       std::cerr << "error: bad flag '" << arg << "'\n" << kUsage;
       return false;
@@ -116,9 +114,8 @@ class ClientBrain final : public radar::transport::Handler {
   std::optional<radar::wire::Ack> ack_;
 };
 
-bool WaitPeerUp(radar::transport::TcpTransport& transport, NodeId peer,
-                int timeout_ms) {
-  const std::int64_t deadline = transport.Now() + timeout_ms * 1000LL;
+bool WaitPeerUp(radar::transport::TcpTransport& transport, NodeId peer) {
+  const std::int64_t deadline = transport.Now() + kTimeoutUs;
   transport.ConnectTo(peer);
   while (!transport.IsPeerUp(peer)) {
     if (transport.Now() >= deadline) return false;
@@ -140,14 +137,13 @@ int RunWorkload(const Flags& flags, const radar::transport::NodeConfig& config,
     const ObjectId object =
         static_cast<ObjectId>(i % flags.num_objects);
     const NodeId gateway = hosts[static_cast<std::size_t>(i) % hosts.size()];
-    if (!WaitPeerUp(transport, redirector, flags.timeout_ms)) {
+    if (!WaitPeerUp(transport, redirector)) {
       ++redirect_timeouts;
       continue;
     }
     transport.Send(redirector, radar::wire::Request{object, gateway});
     std::optional<radar::wire::Redirect> redirect;
-    const std::int64_t deadline =
-        transport.Now() + flags.timeout_ms * 1000LL;
+    const std::int64_t deadline = transport.Now() + kTimeoutUs;
     while (!(redirect = brain.TakeRedirect(object)).has_value()) {
       if (transport.Now() >= deadline) break;
       transport.PollOnce(10);
@@ -160,15 +156,14 @@ int RunWorkload(const Flags& flags, const radar::transport::NodeConfig& config,
       ++no_replica;
       continue;
     }
-    if (!WaitPeerUp(transport, redirect->host, flags.timeout_ms)) {
+    if (!WaitPeerUp(transport, redirect->host)) {
       ++fetch_failures;
       continue;
     }
     const std::uint64_t seq = transport.Send(
         redirect->host, radar::wire::Request{object, gateway});
     std::optional<radar::wire::Ack> ack;
-    const std::int64_t fetch_deadline =
-        transport.Now() + flags.timeout_ms * 1000LL;
+    const std::int64_t fetch_deadline = transport.Now() + kTimeoutUs;
     while (!(ack = brain.TakeAck(seq)).has_value()) {
       if (transport.Now() >= fetch_deadline) break;
       transport.PollOnce(10);
@@ -193,12 +188,12 @@ int SendShutdown(const Flags& flags,
     std::cerr << "error: shutdown needs --target\n";
     return 2;
   }
-  if (!WaitPeerUp(transport, flags.target, flags.timeout_ms)) {
+  if (!WaitPeerUp(transport, flags.target)) {
     std::cerr << "error: node " << flags.target << " unreachable\n";
     return 1;
   }
   transport.Send(flags.target, radar::wire::Shutdown{});
-  const std::int64_t deadline = transport.Now() + flags.timeout_ms * 1000LL;
+  const std::int64_t deadline = transport.Now() + kTimeoutUs;
   while (!transport.Flushed() && transport.Now() < deadline) {
     transport.PollOnce(10);
   }
