@@ -11,7 +11,9 @@
 // A second golden pins a generated transit-stub backbone under stochastic
 // link faults: there host-to-host legs and fault epochs exercise the
 // network model's every-node-rowed regime, which the all-gateway UUNET
-// graph cannot distinguish from the gateway-rows regime.
+// graph cannot distinguish from the gateway-rows regime. A third pins
+// Fig. 9's saturated hot sites, whose completions wait far beyond the
+// event queue's first wheel level.
 //
 // Regenerate (only for an *intentional* semantic change, with a DESIGN.md
 // note):  RADAR_UPDATE_GOLDEN=1 ./determinism_test
@@ -107,6 +109,26 @@ TEST(GoldenDeterminismTest, GeneratedTopologyLinkFaultsIsByteIdentical) {
   ASSERT_GT(report.object_copies, 0);
   ASSERT_GT(report.availability.link_downs, 0);
   ExpectMatchesGolden(dump, "ts300_link_faults_report.json");
+}
+
+// Fig. 9's hot sites under the high-load watermarks: hot hosts saturate,
+// so FCFS completions are scheduled seconds to minutes ahead, past the
+// event queue's 256 us wheel level (one span is 262,144 us), and the
+// queue's far-event ordering reaches the report.
+TEST(GoldenDeterminismTest, HighLoadHotSitesIsByteIdentical) {
+  driver::SimConfig config = GoldenConfig();
+  config.workload = driver::WorkloadKind::kHotSites;
+  config.ApplyHighLoad();
+  config.num_objects = 2'000;
+  config.duration = SecondsToSim(300.0);
+  driver::HostingSimulation sim(config);
+  const driver::RunReport report = sim.Run();
+  const std::string dump = driver::ReportJson(report).Dump(2) + "\n";
+
+  ASSERT_GT(report.total_requests, 0);
+  ASSERT_GT(report.object_copies, 0);
+  ASSERT_GT(report.latency_stats.mean(), 0.262);
+  ExpectMatchesGolden(dump, "hotsites_highload_report.json");
 }
 
 std::string RunDump(const driver::SimConfig& config) {
