@@ -7,15 +7,16 @@
 
 namespace radar::sim {
 
-EventQueue::EventQueue() : buckets_(kWheelBuckets) {}
+EventQueue::EventQueue() : buckets_(kWheelBuckets), blocks_(kWheelBuckets) {}
 
 // RADAR_HOT: event queue push/settle/sift
 void EventQueue::PushEntry(const Entry& e) {
   ++size_;
-  if (wheel_count_ == 0 && !InWheelRange(e.when)) {
-    // The wheel is empty, so it can be re-anchored freely: park it on this
-    // event's bucket instead of sending near-term traffic to the heap
-    // forever after an idle stretch moved the clock past the old span.
+  if (wheel_count_ == 0 && block_count_ == 0 && !InWheelRange(e.when)) {
+    // Both levels are empty, so the wheel can be re-anchored freely: park
+    // it on this event's bucket instead of sending near-term traffic to
+    // the heap forever after an idle stretch moved the clock past the old
+    // span.
     buckets_[CurIdx()].clear();
     cursor_ = 0;
     wheel_time_ = e.when & ~(kBucketWidth - 1);
@@ -34,22 +35,56 @@ void EventQueue::PushEntry(const Entry& e) {
     } else {
       b.push_back(e);  // sorted later, when the bucket becomes current
     }
+  } else if (e.when >= wheel_time_ &&
+             (e.when >> kBlockShift) - (wheel_time_ >> kBlockShift) <
+                 static_cast<SimTime>(kWheelBuckets)) {
+    // Past the first level but within the second: its block keeps it,
+    // unsorted, until the wheel steps onto the block's first microsecond.
+    ++block_count_;
+    Block(e.when >> kBlockShift).push_back(e);
   } else {
-    // Beyond the horizon — or behind a wheel that has already advanced
-    // (possible when NextTime() skipped idle buckets before this push).
-    // Either way the heap keeps it, and pops compare both sources.
+    // Beyond the second level — or behind a wheel that has already
+    // advanced (possible when NextTime() skipped idle buckets before this
+    // push). Either way the heap keeps it, and pops compare both sources.
     far_.push_back(e);
     SiftUp(far_, far_.size() - 1);
   }
 }
 
+void EventQueue::CascadeBlock() {
+  // The block spans exactly the wheel's range now, so every entry lands
+  // in the bucket of its timestamp on the current lap; the buckets past
+  // the first are sorted when they become current, like any other.
+  Bucket& block = Block(wheel_time_ >> kBlockShift);
+  for (const Entry& e : block) buckets_[BucketIdx(e.when)].push_back(e);
+  wheel_count_ += block.size();
+  block_count_ -= block.size();
+  Bucket().swap(block);
+}
+
 EventQueue::Bucket* EventQueue::SettleWheel() {
-  if (wheel_count_ == 0) return nullptr;
+  if (wheel_count_ == 0) {
+    if (block_count_ == 0) return nullptr;
+    // The first level is empty (pops clear a consumed current bucket
+    // eagerly): jump straight to the next block that holds entries (all
+    // are fewer than kWheelBuckets blocks ahead) instead of stepping
+    // 256 us at a time.
+    SimTime block = (wheel_time_ >> kBlockShift) + 1;
+    while (Block(block).empty()) ++block;
+    wheel_time_ = block << kBlockShift;
+    CascadeBlock();
+    Bucket& first = buckets_[CurIdx()];
+    if (first.size() > 1) std::sort(first.begin(), first.end(), Earlier);
+  }
   Bucket* cur = &buckets_[CurIdx()];
   while (cursor_ >= cur->size()) {
     cur->clear();
     cursor_ = 0;
     wheel_time_ += kBucketWidth;
+    // Stepping onto a block boundary: the block joins the first level
+    // before its first bucket is sorted, so entries that waited there and
+    // entries pushed straight into that bucket sort together.
+    if ((wheel_time_ & (kWheelSpan - 1)) == 0) CascadeBlock();
     cur = &buckets_[CurIdx()];
     if (cur->size() > 1) std::sort(cur->begin(), cur->end(), Earlier);
   }
@@ -152,9 +187,10 @@ std::pair<SimTime, std::uint32_t> EventQueue::PopEntry() {
 
 bool EventQueue::PopEntryIfNotAfter(SimTime until, SimTime* when,
                                     std::uint32_t* slot) {
-  // Global minimum over the three residences: wheel-current, far-heap
-  // front, stream-ring head. Seqs are unique, so strict Earlier chains
-  // pick the same entry regardless of comparison order.
+  // Global minimum over the three residences: wheel-current (the earliest
+  // entry of both wheel levels), far-heap front, stream-ring head. Seqs
+  // are unique, so strict Earlier chains pick the same entry regardless
+  // of comparison order.
   Bucket* cur = SettleWheel();
   const Entry* best = cur != nullptr ? &(*cur)[cursor_] : nullptr;
   const bool from_far =
@@ -233,11 +269,6 @@ void EventQueue::ArmStream(std::uint32_t id, SimTime when) {
   ++stream_count_;
 }
 // RADAR_HOT_END
-
-void EventQueue::ReleaseSlot(std::uint32_t slot) {
-  SlotRef(slot).Reset();
-  free_slots_.push_back(slot);
-}
 
 std::pair<SimTime, EventFn> EventQueue::Pop() {
   const auto [when, slot] = PopEntry();

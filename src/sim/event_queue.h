@@ -4,31 +4,38 @@
 // runs bit-for-bit reproducible regardless of the queue's internals.
 //
 // Layout: tiny trivially-copyable {when, seq, slot} entries are ordered by
-// a calendar wheel backed by a small min-heap; the closures themselves
-// (InplaceFunction, no heap allocation) live in a chunked slab of reusable
-// slots referenced by index, so ordering moves 16-byte PODs — never a
-// closure.
+// a two-level calendar wheel backed by a small min-heap; the closures
+// themselves (InplaceFunction, no heap allocation) live in a chunked slab
+// of reusable slots referenced by index, so ordering moves 16-byte PODs —
+// never a closure.
 //
-//   - The wheel covers the near horizon (1024 buckets of 256 us, ~262 ms):
-//     an event lands in the bucket of its timestamp, the bucket is sorted
-//     by (when, seq) when it becomes current, and pops just advance a
-//     cursor — amortized O(1) against the O(log n) sift of a pure heap.
-//     Request traffic (inter-event gaps of ~100 us) lives entirely here.
-//   - Events beyond the horizon — and events scheduled behind a wheel
-//     that has already advanced — go to a 4-ary min-heap of the same
-//     entries. The front of the wheel and the top of the heap are compared
-//     on every pop, so the queue always yields the global (when, seq)
-//     minimum: the pop sequence is identical to any conforming heap's.
-//     Long-period ticks (measurement, placement, census) idle here instead
-//     of adding depth to every request-event sift.
+//   - The wheel's first level covers the near horizon (1024 buckets of
+//     256 us, one span of ~262 ms): an event lands in the bucket of its
+//     timestamp, the bucket is sorted by (when, seq) when it becomes
+//     current, and pops just advance a cursor — amortized O(1) against
+//     the O(log n) sift of a pure heap. Request traffic (inter-event gaps
+//     of ~100 us) lives entirely here.
+//   - The second level holds the next ~268 s: 1024 blocks, each one span
+//     wide and aligned on multiples of it. A push lands in its block in
+//     O(1); when the wheel steps onto a block's first microsecond it moves
+//     the block's entries into their 256 us buckets, before that first
+//     bucket is sorted. Measurement and placement ticks and the FCFS
+//     completions behind saturated hosts (Fig. 9) wait here.
+//   - Events beyond the second level — and events scheduled behind a
+//     wheel that has already advanced — go to a 4-ary min-heap of the
+//     same entries. The front of the wheel and the top of the heap are
+//     compared on every pop, so the queue always yields the global
+//     (when, seq) minimum: the pop sequence is identical to any conforming
+//     heap's.
 //
 // Slab chunks never move once allocated, so a closure can be *invoked in
-// place* (PopEntry / InvokeSlot / ReleaseSlot) even while it pushes new
+// place* (PopEntry / InvokeAndReleaseSlot) even while it pushes new
 // events: the simulation's run loop executes each event with zero closure
-// moves. Steady-state operation performs no allocation at all — released
-// slots are recycled through a free list, bucket vectors keep their
-// capacity across laps, and the slab stops growing once the run's peak
-// event population is reached.
+// moves. Released slots are recycled through a free list, the 256 us
+// buckets keep their capacity across laps, and the slab stops growing once
+// the run's peak event population is reached. Only a block gives its
+// storage back once it has cascaded, so the second level holds memory
+// only for the events actually waiting in it.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +75,8 @@ class EventQueue {
   std::size_t size() const { return size_; }
 
   /// Time of the earliest pending event. Requires !empty(). May advance
-  /// the wheel over empty buckets (never past a pending event).
+  /// the wheel over empty buckets and blocks (never past a pending wheel
+  /// entry).
   SimTime NextTime();
 
   /// Removes and returns the earliest event. Requires !empty().
@@ -77,11 +85,10 @@ class EventQueue {
   // -- In-place execution (the simulation run loop) --
   //
   // PopEntry removes the earliest entry but leaves its closure in the
-  // slab; the caller invokes it in place and then releases the slot:
+  // slab; the caller invokes it in place, which also releases the slot:
   //
   //   const auto [when, slot] = q.PopEntry();
-  //   q.InvokeSlot(slot);    // may Push further events; the slab is stable
-  //   q.ReleaseSlot(slot);   // destroys the closure, recycles the slot
+  //   q.InvokeAndReleaseSlot(slot);  // may Push further events
   //
   // This skips the move-out + moved-from destruction that Pop() pays.
 
@@ -96,17 +103,12 @@ class EventQueue {
   /// loop's per-event ordering work, halved.
   bool PopEntryIfNotAfter(SimTime until, SimTime* when, std::uint32_t* slot);
 
-  /// Runs the closure held in `slot` (which must come from PopEntry).
-  void InvokeSlot(std::uint32_t slot) { SlotRef(slot)(); }
-
-  /// Destroys the closure in `slot` and returns the slot to the free list.
-  void ReleaseSlot(std::uint32_t slot);
-
-  /// InvokeSlot + ReleaseSlot with one slab address computation. The
-  /// reference stays valid across the call even when the closure pushes
-  /// events (chunks never relocate). Stream firings (slots tagged
-  /// kStreamTag by PopEntryIfNotAfter) invoke the registered closure in
-  /// place — nothing to destroy or recycle.
+  /// Runs the closure held in `slot` (from PopEntry or
+  /// PopEntryIfNotAfter), then destroys it and returns the slot to the
+  /// free list. The reference stays valid across the call even when the
+  /// closure pushes events (chunks never relocate). Stream firings (slots
+  /// tagged kStreamTag by PopEntryIfNotAfter) invoke the registered
+  /// closure in place — nothing to destroy or recycle.
   // RADAR_HOT: event invoke/release inline path
   void InvokeAndReleaseSlot(std::uint32_t slot) {
     if ((slot & kStreamTag) != 0) {
@@ -161,11 +163,12 @@ class EventQueue {
     return a.seq_slot < b.seq_slot;
   }
 
-  // Calendar wheel: kWheelBuckets buckets of kBucketWidth microseconds.
-  // wheel_time_ is the (aligned) start of the current bucket; cursor_ is
-  // the consumed prefix of that bucket. The current bucket is always
-  // sorted; future buckets accumulate unsorted and are sorted once, when
-  // they become current. wheel_count_ counts unconsumed wheel entries.
+  // Calendar wheel, first level: kWheelBuckets buckets of kBucketWidth
+  // microseconds. wheel_time_ is the (aligned) start of the current
+  // bucket; cursor_ is the consumed prefix of that bucket. The current
+  // bucket is always sorted; future buckets accumulate unsorted and are
+  // sorted once, when they become current. wheel_count_ counts unconsumed
+  // first-level entries.
   static constexpr int kBucketShift = 8;  // 256 us per bucket
   static constexpr int kWheelBits = 10;   // 1024 buckets, ~262 ms span
   static constexpr std::size_t kWheelBuckets = std::size_t{1} << kWheelBits;
@@ -173,6 +176,13 @@ class EventQueue {
   static constexpr SimTime kWheelSpan =
       kBucketWidth * static_cast<SimTime>(kWheelBuckets);
   using Bucket = std::vector<Entry>;
+
+  // Second level: kWheelBuckets blocks, block b holding the entries in
+  // [b * kWheelSpan, (b + 1) * kWheelSpan), ~268 s in all. An entry waits
+  // here when it is at least a span past wheel_time_ and its block is
+  // fewer than kWheelBuckets blocks past the current one (so no block
+  // holds two laps); block_count_ counts them.
+  static constexpr int kBlockShift = kBucketShift + kWheelBits;
 
   std::size_t BucketIdx(SimTime when) const {
     return static_cast<std::size_t>(when >> kBucketShift) &
@@ -182,13 +192,19 @@ class EventQueue {
   bool InWheelRange(SimTime when) const {
     return when >= wheel_time_ && when < wheel_time_ + kWheelSpan;
   }
+  Bucket& Block(SimTime block) {
+    return blocks_[static_cast<std::size_t>(block) & (kWheelBuckets - 1)];
+  }
 
   void PushEntry(const Entry& e);
+  /// Moves the entries of the block starting at wheel_time_ (a multiple
+  /// of kWheelSpan) into their first-level buckets and frees its storage.
+  void CascadeBlock();
   /// Advances the wheel to its earliest unconsumed entry and returns its
-  /// bucket, or nullptr if the wheel is empty.
+  /// bucket, or nullptr if both levels are empty.
   Bucket* SettleWheel();
 
-  // 4-ary min-heap primitives, shared by the far heap and the stream heap.
+  // 4-ary min-heap primitives of the far heap.
   static constexpr std::size_t kArity = 4;
   static void SiftUp(std::vector<Entry>& heap, std::size_t i);
   static void SiftDown(std::vector<Entry>& heap, std::size_t i);
@@ -207,6 +223,8 @@ class EventQueue {
   SimTime wheel_time_ = 0;
   std::size_t cursor_ = 0;
   std::size_t wheel_count_ = 0;
+  std::vector<Bucket> blocks_;
+  std::size_t block_count_ = 0;
   std::vector<Entry> far_;
   std::size_t size_ = 0;
 

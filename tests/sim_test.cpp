@@ -3,8 +3,13 @@
 // store-and-forward transfer model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/fcfs_server.h"
 #include "sim/simulator.h"
@@ -39,6 +44,167 @@ TEST(EventQueueTest, NextTimeReportsEarliest) {
   q.Push(7, [] {});
   EXPECT_EQ(q.NextTime(), 7);
   EXPECT_EQ(q.size(), 2u);
+}
+
+// One wheel span: 1024 buckets of 256 us.
+constexpr SimTime kSpan = SimTime{1} << 18;
+
+// Two events in the first 256 us bucket of a block, one that waited in
+// the queue's second level (pushed more than a span ahead of the wheel)
+// and one pushed straight into the wheel once it came within a span.
+// The waiting one is earlier and must pop first, so the block's entries
+// have to join the bucket before it is sorted.
+TEST(EventQueueTest, BlockEventsJoinTheirFirstBucketBeforeItIsSorted) {
+  EventQueue q;
+  std::vector<int> order;
+  q.Push(1000, [&] { order.push_back(0); });
+  q.Push(kSpan + 5, [&] { order.push_back(1); });  // a span ahead: waits
+  SimTime when = 0;
+  std::uint32_t slot = 0;
+  ASSERT_TRUE(q.PopEntryIfNotAfter(1000, &when, &slot));
+  q.InvokeAndReleaseSlot(slot);
+  // The wheel now starts at 768, so kSpan + 5 and kSpan + 10 are within
+  // its span: both go straight into the block's first bucket.
+  q.Push(kSpan + 10, [&] { order.push_back(2); });
+  q.Push(kSpan + 5, [&] { order.push_back(3); });  // ties with 1, later
+  while (q.PopEntryIfNotAfter(kSpan + 10, &when, &slot)) {
+    q.InvokeAndReleaseSlot(slot);
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 2}));
+  EXPECT_TRUE(q.empty());
+}
+
+// The queue against a reference model: pending events ordered by (when,
+// push order). Pops go through the run-loop path or NextTime + PopEntry.
+class QueueModel {
+ public:
+  void Push(SimTime when) {
+    const int id = next_id_++;
+    pending_.emplace(when, id);
+    queue_.Push(when, [this, id] { fired_ = id; });
+    last_when_ = when;
+  }
+
+  /// Pops every event at or before `until`, checking each against the
+  /// model; each popped event pushes a follow-up (delay from `delay`) with
+  /// probability `chain`, as an engine event schedules the next one. The
+  /// clock then rests at `until`, like Simulator::RunUntil. Returns false
+  /// at the first mismatch.
+  template <class DelayFn>
+  bool Drain(SimTime until, bool run_loop, Rng& rng, double chain,
+             DelayFn&& delay) {
+    for (;;) {
+      SimTime when = 0;
+      if (run_loop) {
+        std::uint32_t slot = 0;
+        if (!queue_.PopEntryIfNotAfter(until, &when, &slot)) break;
+        queue_.InvokeAndReleaseSlot(slot);
+      } else {
+        if (queue_.empty() || queue_.NextTime() > until) break;
+        const auto [at, slot] = queue_.PopEntry();
+        when = at;
+        queue_.InvokeAndReleaseSlot(slot);
+      }
+      if (pending_.empty()) {
+        ADD_FAILURE() << "popped (" << when << ", #" << fired_
+                      << ") from an empty model";
+        return false;
+      }
+      const auto [want_when, want_id] = *pending_.begin();
+      pending_.erase(pending_.begin());
+      if (when != want_when || fired_ != want_id) {
+        ADD_FAILURE() << "popped (" << when << ", #" << fired_
+                      << "), expected (" << want_when << ", #" << want_id
+                      << ")";
+        return false;
+      }
+      now_ = when;
+      if (rng.NextBool(chain)) Push(now_ + delay());
+    }
+    if (!pending_.empty() && pending_.begin()->first <= until) {
+      ADD_FAILURE() << "stopped with (" << pending_.begin()->first
+                    << ", #" << pending_.begin()->second
+                    << ") due by " << until;
+      return false;
+    }
+    now_ = std::max(now_, until);
+    return queue_.size() == pending_.size();
+  }
+
+  SimTime now() const { return now_; }
+  SimTime last_when() const { return last_when_; }
+  bool empty() const { return pending_.empty() && queue_.empty(); }
+
+ private:
+  EventQueue queue_;
+  std::set<std::pair<SimTime, int>> pending_;
+  int next_id_ = 0;
+  int fired_ = -1;
+  SimTime now_ = 0;
+  SimTime last_when_ = 0;
+};
+
+// Pushes land in every residence of the queue: the 256 us wheel level,
+// the second level of one-span blocks (up to ~268 s ahead), the heap
+// beyond that, and — after horizon stops that leave the wheel settled on
+// an event past the clock — the heap behind the wheel. Ties reuse a
+// pending time; boundary pushes hit the first buckets of coming blocks.
+// Each run ends with a full drain, which jumps over empty stretches.
+TEST(EventQueueTest, PopsMatchReferenceOrderAcrossAllLevels) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    QueueModel model;
+    const auto delay = [&]() -> SimTime {
+      const SimTime now = model.now();
+      switch (rng.NextBounded(10)) {
+        case 0:
+          return rng.NextInRange(0, 600);
+        case 1:
+        case 2:
+          return rng.NextInRange(0, kSpan - 1);
+        case 3:
+        case 4:
+        case 5:
+          return rng.NextInRange(kSpan, 1024 * kSpan);
+        case 6:
+          return rng.NextInRange(1024 * kSpan, 1100 * kSpan);
+        case 7:
+          return std::max<SimTime>(model.last_when() - now, 0);
+        case 8:
+          return ((now >> 18) + rng.NextInRange(1, 3)) * kSpan +
+                 rng.NextInRange(0, 300) - now;
+        default:
+          return rng.NextInRange(0, 4000);
+      }
+    };
+    for (int step = 0; step < 1500; ++step) {
+      if (rng.NextBool(0.6)) {
+        const std::int64_t n = rng.NextInRange(1, 3);
+        for (std::int64_t i = 0; i < n; ++i) {
+          model.Push(model.now() + delay());
+        }
+        continue;
+      }
+      SimTime horizon = 0;
+      switch (rng.NextBounded(3)) {
+        case 0:
+          horizon = rng.NextInRange(0, 3000);
+          break;
+        case 1:
+          horizon = rng.NextInRange(0, 3 * kSpan);
+          break;
+        default:
+          horizon = rng.NextInRange(0, 400 * kSpan);
+          break;
+      }
+      ASSERT_TRUE(model.Drain(model.now() + horizon, rng.NextBool(0.7), rng,
+                              0.3, delay))
+          << "seed " << seed << ", step " << step;
+    }
+    ASSERT_TRUE(model.Drain(INT64_MAX, true, rng, 0.0, delay))
+        << "seed " << seed << ", final drain";
+    EXPECT_TRUE(model.empty()) << "seed " << seed;
+  }
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "common/log.h"
+#include "driver/report_json.h"
 #include "transport/node_config.h"
 #include "transport/tcp_transport.h"
 #include "transport/transport.h"
@@ -174,11 +175,14 @@ int RunWorkload(const Flags& flags, const radar::transport::NodeConfig& config,
       ++fetch_failures;
     }
   }
-  std::cout << "{\"schema\":\"radar.workctl/1\",\"requests\":"
-            << flags.requests << ",\"ok\":" << ok
-            << ",\"no_replica\":" << no_replica
-            << ",\"redirect_timeouts\":" << redirect_timeouts
-            << ",\"fetch_failures\":" << fetch_failures << "}\n";
+  radar::driver::JsonValue summary = radar::driver::JsonValue::MakeObject();
+  summary.Set("schema", "radar.workctl/1")
+      .Set("requests", flags.requests)
+      .Set("ok", ok)
+      .Set("no_replica", no_replica)
+      .Set("redirect_timeouts", redirect_timeouts)
+      .Set("fetch_failures", fetch_failures);
+  std::cout << summary.Dump() << "\n";
   return ok == flags.requests ? 0 : 1;
 }
 
