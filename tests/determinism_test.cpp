@@ -13,12 +13,15 @@
 // network model's every-node-rowed regime, which the all-gateway UUNET
 // graph cannot distinguish from the gateway-rows regime. A third pins
 // Fig. 9's saturated hot sites, whose completions wait far beyond the
-// event queue's first wheel level.
+// event queue's first wheel level. A fourth pins a demand shift, whose
+// time-varying workload must draw each arrival's object at that
+// arrival's own firing time.
 //
 // Regenerate (only for an *intentional* semantic change, with a DESIGN.md
 // note):  RADAR_UPDATE_GOLDEN=1 ./determinism_test
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -29,6 +32,7 @@
 #include "driver/report_json.h"
 #include "fault/fault_plan.h"
 #include "net/topology_gen.h"
+#include "workload/workload.h"
 
 namespace radar {
 namespace {
@@ -129,6 +133,25 @@ TEST(GoldenDeterminismTest, HighLoadHotSitesIsByteIdentical) {
   ASSERT_GT(report.object_copies, 0);
   ASSERT_GT(report.latency_stats.mean(), 0.262);
   ExpectMatchesGolden(dump, "hotsites_highload_report.json");
+}
+
+// Regional demand that turns into Zipf demand halfway through the run
+// (the A3 responsiveness scenario): a workload that reads the clock, so
+// no arrival may be drawn ahead of its own firing.
+TEST(GoldenDeterminismTest, DemandShiftIsByteIdentical) {
+  const driver::SimConfig config = GoldenConfig();
+  driver::HostingSimulation sim(config);
+  sim.SetWorkload(std::make_unique<workload::DemandShiftWorkload>(
+      std::make_unique<workload::RegionalWorkload>(config.num_objects,
+                                                   sim.topology()),
+      std::make_unique<workload::ZipfWorkload>(config.num_objects),
+      SecondsToSim(100.0)));
+  const driver::RunReport report = sim.Run();
+  const std::string dump = driver::ReportJson(report).Dump(2) + "\n";
+
+  ASSERT_GT(report.total_requests, 0);
+  ASSERT_GT(report.object_copies, 0);
+  ExpectMatchesGolden(dump, "demand_shift_report.json");
 }
 
 std::string RunDump(const driver::SimConfig& config) {
