@@ -4,7 +4,9 @@
 #include <cstdlib>
 #include <ostream>
 
+#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "net/uunet.h"
 
 namespace radar::bench {
 namespace {
@@ -121,7 +123,9 @@ void ApplyFaultOptions(const BenchOptions& options,
   if (options.fault_plan_file.empty()) return;
   std::string error;
   auto plan = fault::ParseFaultPlanFile(options.fault_plan_file, &error);
-  if (!plan) {
+  // Every bench run simulates the UUNET backbone.
+  if (!plan ||
+      !fault::PlanFitsGraph(*plan, net::MakeUunetBackbone().graph(), &error)) {
     std::fprintf(stderr, "error: %s: %s\n", options.fault_plan_file.c_str(),
                  error.c_str());
     std::exit(2);

@@ -61,8 +61,9 @@ struct BenchOptions {
 BenchOptions ParseBenchArgs(int argc, char** argv);
 
 /// Loads options.fault_plan_file (when set) and copies the plan plus
-/// options.replica_floor into the config. Exits(2) on a parse failure so
-/// bench binaries share radar_sim's failure behaviour.
+/// options.replica_floor into the config. Exits(2) on a parse failure or
+/// a plan that names a host or link the UUNET backbone lacks, so bench
+/// binaries share radar_sim's failure behaviour.
 void ApplyFaultOptions(const BenchOptions& options,
                        driver::SimConfig* config);
 

@@ -4,6 +4,7 @@
 // driver.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 
@@ -76,9 +77,14 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     queue.Push(static_cast<SimTime>(rng.NextBounded(1'000'000)), [] {});
   }
   SimTime base = 1'000'000;
+  SimTime when = 0;
+  std::uint32_t slot = 0;
   for (auto _ : state) {
     queue.Push(base + static_cast<SimTime>(rng.NextBounded(1000)), [] {});
-    benchmark::DoNotOptimize(queue.Pop());
+    // The pair the simulation's run loop executes per event.
+    queue.PopEntryIfNotAfter(INT64_MAX, &when, &slot);
+    queue.InvokeAndReleaseSlot(slot);
+    benchmark::DoNotOptimize(when);
     ++base;
   }
   state.SetItemsProcessed(state.iterations());

@@ -1,6 +1,7 @@
 #include "driver/hosting_simulation.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -145,29 +146,11 @@ void HostingSimulation::PlaceInitialObjects() {
   }
 }
 
-SimTime HostingSimulation::ControlPathLatency(NodeId a, NodeId b) const {
-  // Per-link propagation delay; control payloads are negligible. The sum
-  // over the canonical path is precomputed (net/net_model.h).
-  return net_.Control(a, b);
-}
-
-SimTime HostingSimulation::TransferPathLatency(NodeId a, NodeId b) const {
-  // Per-link propagation + serialization of one fixed-size object,
-  // precomputed with the same per-link arithmetic as the path walk it
-  // replaced (bit-identical events; see the golden determinism test).
-  return net_.Transfer(a, b);
-}
-
 void HostingSimulation::SetTrace(workload::RequestTrace trace) {
   RADAR_CHECK(!started_);
-  RADAR_CHECK_MSG(!trace.empty(), "empty trace");
-  RADAR_CHECK_MSG(trace.NumObjectsReferenced() <= config_.num_objects,
-                  "trace references objects beyond num_objects");
-  for (const workload::TraceRecord& r : trace.records()) {
-    RADAR_CHECK_LT(r.gateway, topology_.num_nodes());
-    RADAR_CHECK_MSG(topology_.IsGateway(r.gateway),
-                    "trace request at a non-gateway node");
-  }
+  std::string error;
+  RADAR_CHECK_MSG(trace.FitsRun(topology_, config_.num_objects, &error),
+                  error.c_str());
   trace_ = std::move(trace);
 }
 
@@ -197,33 +180,29 @@ void HostingSimulation::ScheduleArrivals() {
       const SimTime phase =
           period * static_cast<SimTime>(g) /
           static_cast<SimTime>(topology_.num_nodes());
-      if (workload_->time_invariant()) {
-        // Batched generation: same draws, same event order, but the
-        // workload's sampling runs over a pre-drawn block instead of one
-        // virtual call + RNG round-trip per arrival event.
-        gateway_arrivals_.push_back(std::make_unique<GatewayArrivals>());
-        GatewayArrivals* arrivals = gateway_arrivals_.back().get();
-        arrivals->owner = this;
-        arrivals->gateway = g;
-        arrivals->period = period;
-        arrivals->stream = sim_.AddStream([arrivals] { arrivals->Fire(); });
-        sim_.ArmStream(arrivals->stream, phase);
-      } else {
-        // A time-varying workload (demand shift) must sample at each
-        // arrival's own firing time.
-        sim_.SchedulePeriodic(phase, period,
-                              [this, g](SimTime t) { GenerateRequest(g, t); });
-      }
+      gateway_arrivals_.push_back(std::make_unique<GatewayArrivals>());
+      GatewayArrivals* arrivals = gateway_arrivals_.back().get();
+      arrivals->owner = this;
+      arrivals->gateway = g;
+      arrivals->period = period;
+      arrivals->batch =
+          workload_->time_invariant() ? GatewayArrivals::kBatch : 1;
+      arrivals->next = arrivals->batch;  // nothing drawn yet
+      arrivals->stream = sim_.AddStream([arrivals] { arrivals->Fire(); });
+      sim_.ArmStream(arrivals->stream, phase);
     } else {
-      // Self-rescheduling Poisson process. The closure lives in
-      // arrival_ticks_; capturing a shared self-handle instead would form
-      // a reference cycle and leak (caught by the asan-ubsan preset).
+      // Self-rescheduling Poisson process, one slab event per arrival (as
+      // a stream, random gaps would make each arm shift the sorted ring).
+      // The closure lives in arrival_ticks_; capturing a shared
+      // self-handle instead would form a reference cycle and leak (caught
+      // by the asan-ubsan preset).
       arrival_ticks_.push_back(std::make_unique<sim::EventFn>());
       auto* tick = arrival_ticks_.back().get();
       *tick = [this, g, rate, tick] {
-        GenerateRequest(g, sim_.Now());
-        const double gap =
-            node_rngs_[static_cast<std::size_t>(g)].NextExponential(1.0 / rate);
+        Rng& rng = node_rngs_[static_cast<std::size_t>(g)];
+        const SimTime now = sim_.Now();
+        DispatchRequest(workload_->NextObject(g, now, rng), g, now);
+        const double gap = rng.NextExponential(1.0 / rate);
         sim_.Schedule(SecondsToSim(gap), [tick] { (*tick)(); });
       };
       const double first =
@@ -303,14 +282,13 @@ NodeId HostingSimulation::ChooseHost(ObjectId x, NodeId gateway) {
 // RADAR_HOT: request dispatch path (arrival -> host -> completion)
 void HostingSimulation::GatewayArrivals::Fire() {
   const SimTime at = owner->sim_.Now();
-  if (next == filled) {
+  if (next == batch) {
     Rng& rng = owner->node_rngs_[static_cast<std::size_t>(gateway)];
-    owner->workload_->FillBatch(gateway, at, rng, objects, kBatch);
+    owner->workload_->FillBatch(gateway, at, rng, objects, batch);
     next = 0;
-    filled = kBatch;
   }
   const ObjectId x = objects[next++];
-  if (next < filled) {
+  if (next < batch) {
     // One-arrival lookahead: warm the next object's redirector head while
     // ~a batch-period of other events executes in between.
     const ObjectId nx = objects[next];
@@ -321,13 +299,6 @@ void HostingSimulation::GatewayArrivals::Fire() {
   // events fire in sequence-number (push/arm) order.
   owner->DispatchRequest(x, gateway, at);
   owner->sim_.ArmStream(stream, at + period);
-}
-
-void HostingSimulation::GenerateRequest(NodeId gateway, SimTime now) {
-  DispatchRequest(workload_->NextObject(
-                      gateway, now,
-                      node_rngs_[static_cast<std::size_t>(gateway)]),
-                  gateway, now);
 }
 
 void HostingSimulation::DispatchRequest(ObjectId x, NodeId gateway,
@@ -385,8 +356,8 @@ void HostingSimulation::ArriveAtHost(ObjectId x, NodeId gateway, NodeId host,
       ++report_->availability.failed_requests;  // no live replica anywhere
       return;
     }
-    const SimTime control = ControlPathLatency(host, redirector) +
-                            ControlPathLatency(redirector, retry);
+    const SimTime control =
+        net_.Control(host, redirector) + net_.Control(redirector, retry);
     sim_.Schedule(control, [this, x, gateway, retry, t0, redirects] {
       ArriveAtHost(x, gateway, retry, t0, redirects + 1);
     });
@@ -429,7 +400,7 @@ void HostingSimulation::CompleteService(ObjectId x, NodeId gateway,
       config_.object_bytes * static_cast<std::int64_t>(path.size() - 1);
   report_->traffic.AddPayload(now, byte_hops);
   link_stats_.RecordPath(path, config_.object_bytes);
-  const SimTime response = TransferPathLatency(host, gateway);
+  const SimTime response = net_.Transfer(host, gateway);
   const double total_latency = SimToSeconds(now - t0 + response);
   report_->latency.Add(now, total_latency);
   report_->latency_stats.Add(total_latency);

@@ -72,9 +72,10 @@ class HostingSimulation {
   void SetWorkload(std::unique_ptr<workload::Workload> workload);
 
   /// Trace-driven mode: replays the given request stream instead of
-  /// generating one from a workload. Every referenced gateway must be a
-  /// gateway of the topology and every object id must be below
-  /// num_objects. Must be called before Run().
+  /// generating one from a workload. The trace must fit the run
+  /// (RequestTrace::FitsRun: every referenced gateway a gateway of the
+  /// topology, every object id below num_objects). Must be called before
+  /// Run().
   void SetTrace(workload::RequestTrace trace);
 
   /// Executes the whole simulation and returns the collected report
@@ -133,42 +134,35 @@ class HostingSimulation {
     return injector_ == nullptr || injector_->HostUp(n);
   }
 
-  /// Batched deterministic arrival generation for one gateway (DESIGN.md
-  /// §12). Pre-draws blocks of objects from the gateway's RNG — nothing
-  /// else consumes that stream in deterministic-arrival mode, and the
-  /// workload must be time-invariant, so every arrival still receives
-  /// exactly the value it would have drawn at its own firing time. Each
-  /// gateway runs as a pinned event-queue stream: one armed firing per
-  /// arrival, re-armed after dispatch (the periodic-task push order), so
-  /// every arrival occupies the same place in the global (when, seq)
-  /// event order as a per-event Schedule — the golden report is
-  /// unchanged — while skipping the closure slab entirely.
+  /// Deterministic arrival generation for one gateway (DESIGN.md §12).
+  /// Each gateway runs as a pinned event-queue stream: one armed firing
+  /// per arrival, re-armed after dispatch (the periodic-task push order),
+  /// so every arrival occupies the same place in the global (when, seq)
+  /// event order as a per-event Schedule while skipping the closure slab
+  /// entirely. Objects are drawn `batch` at a time from the gateway's RNG,
+  /// which nothing else consumes in this mode: a time-invariant workload
+  /// pre-draws kBatch, so every arrival still receives exactly the value
+  /// it would have drawn at its own firing time; a time-varying one
+  /// (demand shift) draws a batch of one at each firing, which FillBatch's
+  /// contract makes NextObject at that time.
   struct GatewayArrivals {
     static constexpr std::uint32_t kBatch = 256;
     HostingSimulation* owner = nullptr;
     NodeId gateway = kInvalidNode;
     SimTime period = 0;
     std::uint32_t stream = 0;  ///< pinned stream id (sim::Simulator)
+    std::uint32_t batch = 0;   ///< objects drawn per refill
     std::uint32_t next = 0;    ///< consumed prefix of objects
-    std::uint32_t filled = 0;  ///< drawn prefix of objects
     ObjectId objects[kBatch];
     void Fire();
   };
 
-  void GenerateRequest(NodeId gateway, SimTime now);
   void DispatchRequest(ObjectId x, NodeId gateway, SimTime now);
   void ScheduleTraceRecord(std::size_t index);
   NodeId ChooseHost(ObjectId x, NodeId gateway);
   void ArriveAtHost(ObjectId x, NodeId gateway, NodeId host, SimTime t0,
                     int redirects);
   void CompleteService(ObjectId x, NodeId gateway, NodeId host, SimTime t0);
-
-  /// Propagation-only latency along the canonical path a -> b (O(1):
-  /// precomputed row lookup).
-  SimTime ControlPathLatency(NodeId a, NodeId b) const;
-  /// Store-and-forward latency of one object along the path a -> b (O(1):
-  /// the object size is fixed per run, so the precomputed sum is exact).
-  SimTime TransferPathLatency(NodeId a, NodeId b) const;
 
   SimConfig config_;
   net::Topology topology_;
@@ -187,8 +181,8 @@ class HostingSimulation {
   /// the self-rescheduling lambdas capture a raw pointer to a stable slot
   /// instead of a shared self-handle, which would be a reference cycle.
   std::vector<std::unique_ptr<sim::EventFn>> arrival_ticks_;
-  /// Batched arrival generators (deterministic arrivals + time-invariant
-  /// workload only); owned here so Fire closures capture a stable pointer.
+  /// Deterministic arrival generators, one per gateway; owned here so
+  /// Fire closures capture a stable pointer.
   std::vector<std::unique_ptr<GatewayArrivals>> gateway_arrivals_;
   baselines::RoundRobinSelector round_robin_;
   baselines::ClosestSelector closest_;

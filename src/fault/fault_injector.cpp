@@ -1,5 +1,6 @@
 #include "fault/fault_injector.h"
 
+#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -13,6 +14,36 @@ constexpr std::uint64_t kLinkStreamBase = 1ULL << 20;
 constexpr std::uint64_t kMessageStream = 1ULL << 21;
 
 }  // namespace
+
+bool PlanFitsGraph(const FaultPlan& plan, const net::Graph& graph,
+                   std::string* error) {
+  for (const ScriptedEvent& ev : plan.scripted) {
+    const bool host_event = ev.kind == FaultKind::kHostCrash ||
+                            ev.kind == FaultKind::kHostRecover;
+    if (host_event ? ev.host >= 0 && ev.host < graph.num_nodes()
+                   : graph.HasLink(ev.link_a, ev.link_b)) {
+      continue;
+    }
+    if (error != nullptr) {
+      // Echo the directive as written ("crash HOST T_SEC", "link-down A B
+      // T_SEC"), then what the topology lacks.
+      std::ostringstream os;
+      os << FaultKindName(ev.kind) << ' ';
+      if (host_event) {
+        os << ev.host << ' ' << SimToSeconds(ev.at)
+           << ": the topology has no host " << ev.host << " ("
+           << graph.num_nodes() << " nodes)";
+      } else {
+        os << ev.link_a << ' ' << ev.link_b << ' ' << SimToSeconds(ev.at)
+           << ": the topology has no link " << ev.link_a << '-'
+           << ev.link_b;
+      }
+      *error = os.str();
+    }
+    return false;
+  }
+  return true;
+}
 
 FaultInjector::FaultInjector(FaultPlan plan, const net::Graph& graph,
                              sim::Simulator* sim, std::uint64_t seed,
@@ -42,14 +73,9 @@ FaultInjector::FaultInjector(FaultPlan plan, const net::Graph& graph,
 void FaultInjector::Start() {
   RADAR_CHECK_MSG(!started_, "FaultInjector::Start called twice");
   started_ = true;
+  std::string error;
+  RADAR_CHECK_MSG(PlanFitsGraph(plan_, graph_, &error), error.c_str());
   for (const ScriptedEvent& ev : plan_.scripted) {
-    if (ev.kind == FaultKind::kHostCrash ||
-        ev.kind == FaultKind::kHostRecover) {
-      RADAR_CHECK_GE(ev.host, 0);
-      RADAR_CHECK_LT(ev.host, graph_.num_nodes());
-    } else {
-      ResolveLink(ev.link_a, ev.link_b);  // aborts on an unknown link
-    }
     sim_->ScheduleAt(ev.at, [this, ev] { Apply(ev); });
   }
   if (plan_.host_faults.enabled()) {

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -42,6 +43,13 @@
 #include "sim/simulator.h"
 
 namespace radar::fault {
+
+/// Checks the plan's scripted events against the backbone before a run:
+/// every crash/recover names a node of `graph`, every link-down/link-up
+/// a link of it. Returns false and fills *error with the first mismatch.
+/// FaultInjector::Start aborts on a plan that fails this check.
+bool PlanFitsGraph(const FaultPlan& plan, const net::Graph& graph,
+                   std::string* error);
 
 /// Everything the injector counted; copied into the report at Finalize.
 struct FaultCounters {

@@ -11,14 +11,10 @@ EventQueue::EventQueue() : buckets_(kWheelBuckets), blocks_(kWheelBuckets) {}
 
 // RADAR_HOT: event queue push/settle/sift
 void EventQueue::PushEntry(const Entry& e) {
-  ++size_;
-  if (wheel_count_ == 0 && block_count_ == 0 && !InWheelRange(e.when)) {
-    // Both levels are empty, so the wheel can be re-anchored freely: park
-    // it on this event's bucket instead of sending near-term traffic to
-    // the heap forever after an idle stretch moved the clock past the old
-    // span.
-    buckets_[CurIdx()].clear();
-    cursor_ = 0;
+  if (e.when < wheel_time_ && wheel_count_ == 0 && block_count_ == 0) {
+    // A push made before the last pop (a replay that rewound its clock)
+    // finds both levels empty, so the wheel can move back onto it instead
+    // of sending it — and what follows it — to the heap.
     wheel_time_ = e.when & ~(kBucketWidth - 1);
   }
   if (InWheelRange(e.when)) {
@@ -43,9 +39,9 @@ void EventQueue::PushEntry(const Entry& e) {
     ++block_count_;
     Block(e.when >> kBlockShift).push_back(e);
   } else {
-    // Beyond the second level — or behind a wheel that has already
-    // advanced (possible when NextTime() skipped idle buckets before this
-    // push). Either way the heap keeps it, and pops compare both sources.
+    // Beyond the second level, or made before the last pop while the
+    // wheel held entries. Either way the heap keeps it, and pops compare
+    // every residence.
     far_.push_back(e);
     SiftUp(far_, far_.size() - 1);
   }
@@ -62,22 +58,32 @@ void EventQueue::CascadeBlock() {
   Bucket().swap(block);
 }
 
-EventQueue::Bucket* EventQueue::SettleWheel() {
+EventQueue::Bucket* EventQueue::SettleWheel(SimTime bound) {
+  const SimTime last = bound & ~(kBucketWidth - 1);  // bound's bucket
   if (wheel_count_ == 0) {
-    if (block_count_ == 0) return nullptr;
-    // The first level is empty (pops clear a consumed current bucket
-    // eagerly): jump straight to the next block that holds entries (all
-    // are fewer than kWheelBuckets blocks ahead) instead of stepping
-    // 256 us at a time.
-    SimTime block = (wheel_time_ >> kBlockShift) + 1;
-    while (Block(block).empty()) ++block;
-    wheel_time_ = block << kBlockShift;
-    CascadeBlock();
-    Bucket& first = buckets_[CurIdx()];
-    if (first.size() > 1) std::sort(first.begin(), first.end(), Earlier);
+    // The first level is empty: jump instead of stepping 256 us at a
+    // time, to whichever comes first — the next block that holds entries
+    // (every one is fewer than kWheelBuckets blocks ahead) or the bound's
+    // bucket. Every block passed over is empty. The jump lands one bucket
+    // short, so the step below cascades a block it lands on and sorts the
+    // bucket like any other.
+    SimTime to = last;
+    if (block_count_ != 0) {
+      for (SimTime block = (wheel_time_ >> kBlockShift) + 1;
+           block <= (last >> kBlockShift); ++block) {
+        if (!Block(block).empty()) {
+          to = block << kBlockShift;
+          break;
+        }
+      }
+    }
+    if (to > wheel_time_) wheel_time_ = to - kBucketWidth;
   }
   Bucket* cur = &buckets_[CurIdx()];
   while (cursor_ >= cur->size()) {
+    // The next bucket starts past the bound: nothing in the wheel is due
+    // by then, and the wheel must not pass the caller's next clock value.
+    if (wheel_time_ >= last) return nullptr;
     cur->clear();
     cursor_ = 0;
     wheel_time_ += kBucketWidth;
@@ -152,46 +158,21 @@ std::uint32_t EventQueue::AcquireSlot() {
 }
 
 // RADAR_HOT: event queue pop
-SimTime EventQueue::NextTime() {
-  RADAR_CHECK_GT(size_, 0u);
-  const Bucket* cur = SettleWheel();
-  if (cur == nullptr) return far_.front().when;
-  const Entry& w = (*cur)[cursor_];
-  if (!far_.empty() && Earlier(far_.front(), w)) return far_.front().when;
-  return w.when;
-}
-
-std::pair<SimTime, std::uint32_t> EventQueue::PopEntry() {
-  RADAR_CHECK_GT(size_, 0u);
-  Entry top;
-  Bucket* cur = SettleWheel();
-  if (cur != nullptr &&
-      (far_.empty() || Earlier((*cur)[cursor_], far_.front()))) {
-    top = (*cur)[cursor_++];
-    --wheel_count_;
-    if (cursor_ == cur->size()) {
-      // Eager clear: the bucket stays current (new same-bucket pushes may
-      // still arrive) but its storage — and capacity — are reusable now.
-      cur->clear();
-      cursor_ = 0;
-    }
-  } else {
-    top = far_.front();
-    far_.front() = far_.back();
-    far_.pop_back();
-    if (!far_.empty()) SiftDown(far_, 0);
-  }
-  --size_;
-  return {top.when, static_cast<std::uint32_t>(top.seq_slot & kSlotMask)};
-}
-
 bool EventQueue::PopEntryIfNotAfter(SimTime until, SimTime* when,
                                     std::uint32_t* slot) {
+  Bucket* cur = &buckets_[CurIdx()];
+  if (cursor_ >= cur->size()) {
+    // The current bucket is consumed. The caller's clock reaches the
+    // earliest of these next, so the wheel settles no further.
+    SimTime bound = until;
+    if (!far_.empty()) bound = std::min(bound, far_.front().when);
+    if (stream_count_ != 0) bound = std::min(bound, StreamFront().when);
+    cur = SettleWheel(bound);
+  }
   // Global minimum over the three residences: wheel-current (the earliest
-  // entry of both wheel levels), far-heap front, stream-ring head. Seqs
-  // are unique, so strict Earlier chains pick the same entry regardless
-  // of comparison order.
-  Bucket* cur = SettleWheel();
+  // entry of both wheel levels, if one is due by the bound), far-heap
+  // front, stream-ring head. Seqs are unique, so strict Earlier chains
+  // pick the same entry regardless of comparison order.
   const Entry* best = cur != nullptr ? &(*cur)[cursor_] : nullptr;
   const bool from_far =
       !far_.empty() && (best == nullptr || Earlier(far_.front(), *best));
@@ -217,11 +198,12 @@ bool EventQueue::PopEntryIfNotAfter(SimTime until, SimTime* when,
     ++cursor_;
     --wheel_count_;
     if (cursor_ == cur->size()) {
+      // Eager clear: the bucket stays current (new same-bucket pushes may
+      // still arrive) but its storage — and capacity — are reusable now.
       cur->clear();
       cursor_ = 0;
     }
   }
-  --size_;
   return true;
 }
 // RADAR_HOT_END
@@ -269,12 +251,5 @@ void EventQueue::ArmStream(std::uint32_t id, SimTime when) {
   ++stream_count_;
 }
 // RADAR_HOT_END
-
-std::pair<SimTime, EventFn> EventQueue::Pop() {
-  const auto [when, slot] = PopEntry();
-  std::pair<SimTime, EventFn> out{when, std::move(SlotRef(slot))};
-  free_slots_.push_back(slot);
-  return out;
-}
 
 }  // namespace radar::sim

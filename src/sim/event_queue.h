@@ -21,21 +21,28 @@
 //     the block's entries into their 256 us buckets, before that first
 //     bucket is sorted. Measurement and placement ticks and the FCFS
 //     completions behind saturated hosts (Fig. 9) wait here.
-//   - Events beyond the second level — and events scheduled behind a
-//     wheel that has already advanced — go to a 4-ary min-heap of the
-//     same entries. The front of the wheel and the top of the heap are
-//     compared on every pop, so the queue always yields the global
-//     (when, seq) minimum: the pop sequence is identical to any conforming
-//     heap's.
+//   - A 4-ary min-heap of the same entries keeps the rest: events beyond
+//     the second level, and pushes made earlier than the last pop (a
+//     replay that rewinds its clock).
 //
-// Slab chunks never move once allocated, so a closure can be *invoked in
-// place* (PopEntry / InvokeAndReleaseSlot) even while it pushes new
-// events: the simulation's run loop executes each event with zero closure
-// moves. Released slots are recycled through a free list, the 256 us
-// buckets keep their capacity across laps, and the slab stops growing once
-// the run's peak event population is reached. Only a block gives its
-// storage back once it has cascaded, so the second level holds memory
-// only for the events actually waiting in it.
+// There is one way out: PopEntryIfNotAfter(until) removes the global
+// (when, seq) minimum over the wheel, the heap and the pinned streams
+// (below) unless it is after `until`. The wheel never runs ahead of the
+// clock: a pop settles it no further than the bucket of the earliest of
+// `until`, the heap's top and the streams' head — the time the caller's
+// clock reaches next — so every event the caller then schedules lands at
+// or after the wheel's current bucket. Every pop compares all three
+// residences with one comparator, so the pop sequence is identical to
+// any conforming heap's.
+//
+// Slab chunks never move once allocated, so a closure is *invoked in
+// place* (InvokeAndReleaseSlot) even while it pushes new events: the
+// simulation's run loop executes each event with zero closure moves.
+// Released slots are recycled through a free list, the 256 us buckets
+// keep their capacity across laps, and the slab stops growing once the
+// run's peak event population is reached. Only a block gives its storage
+// back once it has cascaded, so the second level holds memory only for
+// the events actually waiting in it.
 #pragma once
 
 #include <cstdint>
@@ -71,44 +78,26 @@ class EventQueue {
   }
   // RADAR_HOT_END
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  /// Time of the earliest pending event. Requires !empty(). May advance
-  /// the wheel over empty buckets and blocks (never past a pending wheel
-  /// entry).
-  SimTime NextTime();
-
-  /// Removes and returns the earliest event. Requires !empty().
-  std::pair<SimTime, EventFn> Pop();
-
-  // -- In-place execution (the simulation run loop) --
-  //
-  // PopEntry removes the earliest entry but leaves its closure in the
-  // slab; the caller invokes it in place, which also releases the slot:
-  //
-  //   const auto [when, slot] = q.PopEntry();
-  //   q.InvokeAndReleaseSlot(slot);  // may Push further events
-  //
-  // This skips the move-out + moved-from destruction that Pop() pays.
-
-  /// Removes the earliest entry, returning {when, slot}. Requires !empty().
-  std::pair<SimTime, std::uint32_t> PopEntry();
-
-  /// Fused peek + pop for the run loop: removes the earliest entry into
-  /// {*when, *slot} and returns true, unless the queue is empty or that
-  /// entry is after `until` (then nothing is removed and it returns
-  /// false). Equivalent to `!empty() && NextTime() <= until` followed by
-  /// PopEntry(), but settles the wheel once instead of twice — the run
-  /// loop's per-event ordering work, halved.
+  /// Removes the earliest pending event (pushed or stream firing) into
+  /// {*when, *slot} and returns true, unless nothing is pending or that
+  /// event is after `until`; then it removes nothing and returns false.
+  /// The caller runs the event with InvokeAndReleaseSlot(*slot):
+  ///
+  ///   while (q.PopEntryIfNotAfter(until, &when, &slot)) {
+  ///     q.InvokeAndReleaseSlot(slot);  // may Push further events
+  ///   }
+  ///
+  /// Settles the wheel no further than the bucket of min(`until`, heap
+  /// top, stream head), so pushes made at or after the popped time — or
+  /// at or after `until` when it returns false — never land behind it.
   bool PopEntryIfNotAfter(SimTime until, SimTime* when, std::uint32_t* slot);
 
-  /// Runs the closure held in `slot` (from PopEntry or
-  /// PopEntryIfNotAfter), then destroys it and returns the slot to the
-  /// free list. The reference stays valid across the call even when the
-  /// closure pushes events (chunks never relocate). Stream firings (slots
-  /// tagged kStreamTag by PopEntryIfNotAfter) invoke the registered
-  /// closure in place — nothing to destroy or recycle.
+  /// Runs the closure held in `slot` (from PopEntryIfNotAfter), then
+  /// destroys it and returns the slot to the free list. The reference
+  /// stays valid across the call even when the closure pushes events
+  /// (chunks never relocate). Stream firings (slots tagged kStreamTag)
+  /// invoke the registered closure in place — nothing to destroy or
+  /// recycle.
   // RADAR_HOT: event invoke/release inline path
   void InvokeAndReleaseSlot(std::uint32_t slot) {
     if ((slot & kStreamTag) != 0) {
@@ -132,8 +121,6 @@ class EventQueue {
   // order as the equivalent Push — the pop sequence is indistinguishable.
   // Built for the driver's deterministic gateway arrivals: one armed
   // entry per gateway at any time, re-armed from inside the closure.
-  // Streams participate only in PopEntryIfNotAfter (the run-loop path);
-  // NextTime/Pop/PopEntry and size() do not see them.
 
   /// Marks a slot value returned by PopEntryIfNotAfter as a stream id.
   static constexpr std::uint32_t kStreamTag = 0x80000000u;
@@ -165,10 +152,12 @@ class EventQueue {
 
   // Calendar wheel, first level: kWheelBuckets buckets of kBucketWidth
   // microseconds. wheel_time_ is the (aligned) start of the current
-  // bucket; cursor_ is the consumed prefix of that bucket. The current
-  // bucket is always sorted; future buckets accumulate unsorted and are
-  // sorted once, when they become current. wheel_count_ counts unconsumed
-  // first-level entries.
+  // bucket, never past the caller's clock; cursor_ is the consumed prefix
+  // of that bucket. The current bucket is always sorted; future buckets
+  // accumulate unsorted and are sorted once, when they become current.
+  // wheel_count_ counts unconsumed first-level entries; when it is 0,
+  // every bucket is empty and cursor_ is 0 (pops clear a consumed
+  // current bucket eagerly).
   static constexpr int kBucketShift = 8;  // 256 us per bucket
   static constexpr int kWheelBits = 10;   // 1024 buckets, ~262 ms span
   static constexpr std::size_t kWheelBuckets = std::size_t{1} << kWheelBits;
@@ -190,7 +179,7 @@ class EventQueue {
   }
   std::size_t CurIdx() const { return BucketIdx(wheel_time_); }
   bool InWheelRange(SimTime when) const {
-    return when >= wheel_time_ && when < wheel_time_ + kWheelSpan;
+    return when >= wheel_time_ && when - wheel_time_ < kWheelSpan;
   }
   Bucket& Block(SimTime block) {
     return blocks_[static_cast<std::size_t>(block) & (kWheelBuckets - 1)];
@@ -199,10 +188,14 @@ class EventQueue {
   void PushEntry(const Entry& e);
   /// Moves the entries of the block starting at wheel_time_ (a multiple
   /// of kWheelSpan) into their first-level buckets and frees its storage.
-  void CascadeBlock();
-  /// Advances the wheel to its earliest unconsumed entry and returns its
-  /// bucket, or nullptr if both levels are empty.
-  Bucket* SettleWheel();
+  /// Runs once per span, so it stays out of line: inlined, it bloats the
+  /// stepping loop that calls it (~2% of a UUNET run's wall time).
+  [[gnu::noinline]] void CascadeBlock();
+  /// Advances the wheel from a consumed current bucket to its earliest
+  /// unconsumed entry and returns that bucket, or nullptr when no entry
+  /// of either level lies in or before the bucket of `bound`; the wheel
+  /// then rests on that bucket at most.
+  Bucket* SettleWheel(SimTime bound);
 
   // 4-ary min-heap primitives of the far heap.
   static constexpr std::size_t kArity = 4;
@@ -226,7 +219,6 @@ class EventQueue {
   std::vector<Bucket> blocks_;
   std::size_t block_count_ = 0;
   std::vector<Entry> far_;
-  std::size_t size_ = 0;
 
   std::vector<std::unique_ptr<EventFn[]>> chunks_;
   std::uint32_t num_slots_ = 0;

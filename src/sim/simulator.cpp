@@ -42,16 +42,6 @@ void Simulator::RunUntil(SimTime until) {
   }
   if (now_ < until) now_ = until;
 }
-
-void Simulator::RunAll() {
-  while (!queue_.empty()) {
-    const auto [when, slot] = queue_.PopEntry();
-    RADAR_CHECK_GE(when, now_);
-    now_ = when;
-    queue_.InvokeAndReleaseSlot(slot);
-    ++events_executed_;
-  }
-}
 // RADAR_HOT_END
 
 }  // namespace radar::sim

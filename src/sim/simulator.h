@@ -37,8 +37,7 @@ class Simulator {
   }
 
   /// Schedules `fn` to run every `period` starting at `first_at`; `fn`
-  /// receives the firing time. Fires indefinitely (RunAll never returns
-  /// while a periodic task is registered; use RunUntil).
+  /// receives the firing time. Fires indefinitely.
   void SchedulePeriodic(SimTime first_at, SimTime period, PeriodicFn fn);
 
   // -- Pinned streams (see EventQueue) --
@@ -47,8 +46,8 @@ class Simulator {
   // changes: register once, then arm each firing. An armed firing runs at
   // exactly the place in the event order a Schedule at the same point
   // would have taken, but costs no slot traffic. The closure takes no
-  // arguments — read Now() for the firing time. Streams fire only inside
-  // RunUntil, and only the next armed firing is pending at a time.
+  // arguments — read Now() for the firing time. Only the next armed
+  // firing is pending at a time.
 
   /// Registers a stream closure; returns its id.
   template <class F>
@@ -63,15 +62,12 @@ class Simulator {
     queue_.ArmStream(id, when);
   }
 
-  /// Runs events until the queue drains or the clock passes `until`.
-  /// Events scheduled exactly at `until` are executed.
+  /// Runs events until the queue drains or the clock passes `until`,
+  /// then rests the clock at `until`. Events scheduled exactly at
+  /// `until` are executed.
   void RunUntil(SimTime until);
 
-  /// Runs until the event queue is empty.
-  void RunAll();
-
   std::uint64_t events_executed() const { return events_executed_; }
-  std::size_t pending_events() const { return queue_.size(); }
 
  private:
   /// A periodic task owns its tick closure in a stable heap slot; the

@@ -36,6 +36,29 @@ ObjectId RequestTrace::NumObjectsReferenced() const {
   return max_id + 1;
 }
 
+bool RequestTrace::FitsRun(const net::Topology& topology,
+                           ObjectId num_objects, std::string* error) const {
+  std::ostringstream os;
+  if (records_.empty()) os << "the trace holds no requests";
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const TraceRecord& r = records_[i];
+    if (r.object < 0 || r.object >= num_objects) {
+      os << "request " << i + 1 << " names object " << r.object
+         << ", but the run has " << num_objects << " objects";
+      break;
+    }
+    if (r.gateway < 0 || r.gateway >= topology.num_nodes() ||
+        !topology.IsGateway(r.gateway)) {
+      os << "request " << i + 1 << " arrives at node " << r.gateway
+         << ", which is not a gateway of the topology";
+      break;
+    }
+  }
+  if (os.tellp() == 0) return true;
+  if (error != nullptr) *error = os.str();
+  return false;
+}
+
 void RequestTrace::Save(std::ostream& out) const {
   out << "# radar request trace: " << records_.size() << " records\n";
   for (const TraceRecord& r : records_) {

@@ -20,6 +20,7 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "net/topology.h"
 #include "workload/workload.h"
 
 namespace radar::workload {
@@ -51,6 +52,14 @@ class RequestTrace {
 
   /// Largest object id referenced + 1 (0 for an empty trace).
   ObjectId NumObjectsReferenced() const;
+
+  /// Checks the trace against the run it is to drive: it holds a
+  /// request, every request arrives at a gateway of `topology`, and every
+  /// object id is below `num_objects`. Returns false and fills *error
+  /// with the first mismatch. HostingSimulation::SetTrace aborts on a
+  /// trace that fails this check.
+  bool FitsRun(const net::Topology& topology, ObjectId num_objects,
+               std::string* error) const;
 
   /// Serializes to the plain-text format.
   void Save(std::ostream& out) const;

@@ -93,6 +93,33 @@ TEST(FaultPlanTest, EmptyDetection) {
   EXPECT_FALSE(MustParse("delay request 0.5 10\n").Empty());
 }
 
+TEST(FaultPlanTest, PlanFitsGraphChecksHostsAndLinks) {
+  const net::Graph graph = net::MakeUunetBackbone().graph();
+  const auto fits = [&](const std::string& text, std::string* error) {
+    error->clear();
+    return fault::PlanFitsGraph(MustParse(text), graph, error);
+  };
+  std::string error;
+  EXPECT_TRUE(fits("crash 52 20\nrecover 0 30\nhost-faults 300 60\n",
+                   &error))
+      << error;
+  const net::Link& link = graph.link(0);
+  EXPECT_TRUE(fits("link-down " + std::to_string(link.b) + " " +
+                       std::to_string(link.a) + " 30\n",
+                   &error))
+      << error;
+
+  EXPECT_FALSE(fits("crash 999 20\n", &error));
+  EXPECT_EQ(error, "crash 999 20: the topology has no host 999 (53 nodes)");
+  EXPECT_FALSE(fits("crash 1 10\nrecover 53 20.5\n", &error));
+  EXPECT_EQ(error, "recover 53 20.5: the topology has no host 53 (53 nodes)");
+  ASSERT_FALSE(graph.HasLink(0, 52));
+  EXPECT_FALSE(fits("link-down 0 52 30\n", &error));
+  EXPECT_EQ(error, "link-down 0 52 30: the topology has no link 0-52");
+  EXPECT_FALSE(fits("link-up 0 999 30\n", &error));
+  EXPECT_EQ(error, "link-up 0 999 30: the topology has no link 0-999");
+}
+
 // ---------------------------------------------------------------------
 // Message-fate counters (two-node graph, injector driven directly)
 // ---------------------------------------------------------------------

@@ -175,6 +175,44 @@ TEST(RequestTraceTest, LoadRejectsShortRecords) {
   EXPECT_FALSE(workload::RequestTrace::Load(in, &error).has_value());
 }
 
+TEST(RequestTraceTest, FitsRunChecksObjectsAndGateways) {
+  std::istringstream topo_in(kSmallTopology);
+  std::string error;
+  const auto topology = net::ReadTopology(topo_in, &error);
+  ASSERT_TRUE(topology.has_value()) << error;
+  const auto fits = [&](const workload::RequestTrace& trace) {
+    error.clear();
+    return trace.FitsRun(*topology, /*num_objects=*/10, &error);
+  };
+
+  workload::RequestTrace trace;
+  EXPECT_FALSE(fits(trace));
+  EXPECT_EQ(error, "the trace holds no requests");
+  trace.Append(0, 0, 9);
+  trace.Append(5, 2, 0);  // a (gateway) and c (gateway by default)
+  EXPECT_TRUE(fits(trace)) << error;
+  EXPECT_EQ(error, "");
+
+  workload::RequestTrace beyond = trace;
+  beyond.Append(10, 0, 10);
+  EXPECT_FALSE(fits(beyond));
+  EXPECT_EQ(error, "request 3 names object 10, but the run has 10 objects");
+
+  workload::RequestTrace transit = trace;
+  transit.Append(10, 1, 0);  // b is a transit node
+  EXPECT_FALSE(fits(transit));
+  EXPECT_EQ(error,
+            "request 3 arrives at node 1, which is not a gateway of the "
+            "topology");
+
+  workload::RequestTrace missing = trace;
+  missing.Append(10, 99, 0);
+  EXPECT_FALSE(fits(missing));
+  EXPECT_EQ(error,
+            "request 3 arrives at node 99, which is not a gateway of the "
+            "topology");
+}
+
 TEST(RequestTraceTest, SynthesizeMatchesRateAndDomain) {
   workload::UniformWorkload uniform(50);
   const auto trace = workload::RequestTrace::Synthesize(

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -18,13 +19,23 @@
 namespace radar::sim {
 namespace {
 
+// Pops and runs every pending event, the way the simulation's run loop
+// does.
+void DrainQueue(EventQueue& q) {
+  SimTime when = 0;
+  std::uint32_t slot = 0;
+  while (q.PopEntryIfNotAfter(INT64_MAX, &when, &slot)) {
+    q.InvokeAndReleaseSlot(slot);
+  }
+}
+
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
   q.Push(30, [&] { order.push_back(3); });
   q.Push(10, [&] { order.push_back(1); });
   q.Push(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.Pop().second();
+  DrainQueue(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -34,16 +45,8 @@ TEST(EventQueueTest, EqualTimesAreFifo) {
   for (int i = 0; i < 10; ++i) {
     q.Push(5, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.Pop().second();
+  DrainQueue(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(EventQueueTest, NextTimeReportsEarliest) {
-  EventQueue q;
-  q.Push(42, [] {});
-  q.Push(7, [] {});
-  EXPECT_EQ(q.NextTime(), 7);
-  EXPECT_EQ(q.size(), 2u);
 }
 
 // One wheel span: 1024 buckets of 256 us.
@@ -71,13 +74,58 @@ TEST(EventQueueTest, BlockEventsJoinTheirFirstBucketBeforeItIsSorted) {
     q.InvokeAndReleaseSlot(slot);
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 2}));
-  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.PopEntryIfNotAfter(INT64_MAX, &when, &slot));
 }
 
-// The queue against a reference model: pending events ordered by (when,
-// push order). Pops go through the run-loop path or NextTime + PopEntry.
+// The queue against a reference model: pushed events and armed stream
+// firings, ordered by (when, push/arm order) and popped the way the run
+// loop pops them. Each stream has one armed firing and re-arms from
+// inside its own firing at a random delay.
 class QueueModel {
  public:
+  static constexpr std::size_t kStreams = 3;
+
+  explicit QueueModel(std::uint64_t seed) : rng_(seed) {
+    for (std::size_t k = 0; k < kStreams; ++k) {
+      stream_ids_[k] = queue_.AddStream([this, k] {
+        fired_ = armed_[k];
+        if (rearm_) Arm(k);
+      });
+      Arm(k);
+    }
+  }
+
+  Rng& rng() { return rng_; }
+  SimTime now() const { return now_; }
+  SimTime last_pop() const { return last_pop_; }
+
+  /// A delay >= 0 that reaches every residence of the queue: the 256 us
+  /// wheel level, the second level of one-span blocks (up to ~268 s
+  /// ahead) and the heap beyond it, plus ties with the latest push or
+  /// arm and the first buckets of coming blocks.
+  SimTime Delay() {
+    switch (rng_.NextBounded(10)) {
+      case 0:
+        return rng_.NextInRange(0, 600);
+      case 1:
+      case 2:
+        return rng_.NextInRange(0, kSpan - 1);
+      case 3:
+      case 4:
+      case 5:
+        return rng_.NextInRange(kSpan, 1024 * kSpan);
+      case 6:
+        return rng_.NextInRange(1024 * kSpan, 1100 * kSpan);
+      case 7:
+        return std::max<SimTime>(last_when_ - now_, 0);
+      case 8:
+        return ((now_ >> 18) + rng_.NextInRange(1, 3)) * kSpan +
+               rng_.NextInRange(0, 300) - now_;
+      default:
+        return rng_.NextInRange(0, 4000);
+    }
+  }
+
   void Push(SimTime when) {
     const int id = next_id_++;
     pending_.emplace(when, id);
@@ -86,40 +134,31 @@ class QueueModel {
   }
 
   /// Pops every event at or before `until`, checking each against the
-  /// model; each popped event pushes a follow-up (delay from `delay`) with
-  /// probability `chain`, as an engine event schedules the next one. The
-  /// clock then rests at `until`, like Simulator::RunUntil. Returns false
-  /// at the first mismatch.
-  template <class DelayFn>
-  bool Drain(SimTime until, bool run_loop, Rng& rng, double chain,
-             DelayFn&& delay) {
-    for (;;) {
-      SimTime when = 0;
-      if (run_loop) {
-        std::uint32_t slot = 0;
-        if (!queue_.PopEntryIfNotAfter(until, &when, &slot)) break;
-        queue_.InvokeAndReleaseSlot(slot);
-      } else {
-        if (queue_.empty() || queue_.NextTime() > until) break;
-        const auto [at, slot] = queue_.PopEntry();
-        when = at;
-        queue_.InvokeAndReleaseSlot(slot);
-      }
+  /// model; each pop pushes a follow-up with probability `chain`, as an
+  /// engine event schedules the next one, and a stream firing re-arms its
+  /// stream when `rearm` holds. The clock then rests at `until`, like
+  /// Simulator::RunUntil. Returns false at the first mismatch.
+  bool Drain(SimTime until, double chain = 0.3, bool rearm = true) {
+    rearm_ = rearm;
+    SimTime when = 0;
+    std::uint32_t slot = 0;
+    while (queue_.PopEntryIfNotAfter(until, &when, &slot)) {
       if (pending_.empty()) {
-        ADD_FAILURE() << "popped (" << when << ", #" << fired_
-                      << ") from an empty model";
+        ADD_FAILURE() << "popped at " << when << " from an empty model";
         return false;
       }
       const auto [want_when, want_id] = *pending_.begin();
       pending_.erase(pending_.begin());
+      now_ = when;
+      last_pop_ = when;
+      queue_.InvokeAndReleaseSlot(slot);
       if (when != want_when || fired_ != want_id) {
         ADD_FAILURE() << "popped (" << when << ", #" << fired_
                       << "), expected (" << want_when << ", #" << want_id
                       << ")";
         return false;
       }
-      now_ = when;
-      if (rng.NextBool(chain)) Push(now_ + delay());
+      if (rng_.NextBool(chain)) Push(now_ + Delay());
     }
     if (!pending_.empty() && pending_.begin()->first <= until) {
       ADD_FAILURE() << "stopped with (" << pending_.begin()->first
@@ -128,82 +167,83 @@ class QueueModel {
       return false;
     }
     now_ = std::max(now_, until);
-    return queue_.size() == pending_.size();
+    return true;
   }
 
-  SimTime now() const { return now_; }
-  SimTime last_when() const { return last_when_; }
-  bool empty() const { return pending_.empty() && queue_.empty(); }
+  /// Drains everything, with no follow-ups and no re-arms: the queue
+  /// stops only once it is empty, and the model must be empty then too.
+  bool DrainAll() { return Drain(INT64_MAX, 0.0, false); }
+
+  /// Starts a new slice at `at` (at or before the last pop), the way a
+  /// slice replay rewinds its clock, and re-arms every stream from there.
+  void Rewind(SimTime at) {
+    now_ = at;
+    for (std::size_t k = 0; k < kStreams; ++k) Arm(k);
+  }
 
  private:
+  /// Arms stream k a random delay after the clock.
+  void Arm(std::size_t k) {
+    armed_[k] = next_id_++;
+    const SimTime when = now_ + Delay();
+    pending_.emplace(when, armed_[k]);
+    queue_.ArmStream(stream_ids_[k], when);
+    last_when_ = when;
+  }
+
+  Rng rng_;
   EventQueue queue_;
   std::set<std::pair<SimTime, int>> pending_;
+  std::array<std::uint32_t, kStreams> stream_ids_{};
+  std::array<int, kStreams> armed_{};  ///< model id of each armed firing
+  bool rearm_ = true;
   int next_id_ = 0;
   int fired_ = -1;
   SimTime now_ = 0;
+  SimTime last_pop_ = 0;
   SimTime last_when_ = 0;
 };
 
-// Pushes land in every residence of the queue: the 256 us wheel level,
-// the second level of one-span blocks (up to ~268 s ahead), the heap
-// beyond that, and — after horizon stops that leave the wheel settled on
-// an event past the clock — the heap behind the wheel. Ties reuse a
-// pending time; boundary pushes hit the first buckets of coming blocks.
-// Each run ends with a full drain, which jumps over empty stretches.
+// Pushes and stream arms land in every residence of the queue (see
+// Delay); ties reuse a pending time, and boundary pushes hit the first
+// buckets of coming blocks. Horizon stops rest the clock between events,
+// where the wheel must stop too: the next pushes land at or after the
+// clock. Each slice ends with a full drain, which jumps over empty
+// stretches; the next slice rewinds the clock to before the last pop, as
+// a slice replay does, so its first push re-anchors the empty wheel
+// backwards and later ones that are earlier still go to the heap.
 TEST(EventQueueTest, PopsMatchReferenceOrderAcrossAllLevels) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    Rng rng(seed);
-    QueueModel model;
-    const auto delay = [&]() -> SimTime {
-      const SimTime now = model.now();
-      switch (rng.NextBounded(10)) {
-        case 0:
-          return rng.NextInRange(0, 600);
-        case 1:
-        case 2:
-          return rng.NextInRange(0, kSpan - 1);
-        case 3:
-        case 4:
-        case 5:
-          return rng.NextInRange(kSpan, 1024 * kSpan);
-        case 6:
-          return rng.NextInRange(1024 * kSpan, 1100 * kSpan);
-        case 7:
-          return std::max<SimTime>(model.last_when() - now, 0);
-        case 8:
-          return ((now >> 18) + rng.NextInRange(1, 3)) * kSpan +
-                 rng.NextInRange(0, 300) - now;
-        default:
-          return rng.NextInRange(0, 4000);
-      }
-    };
-    for (int step = 0; step < 1500; ++step) {
-      if (rng.NextBool(0.6)) {
-        const std::int64_t n = rng.NextInRange(1, 3);
-        for (std::int64_t i = 0; i < n; ++i) {
-          model.Push(model.now() + delay());
+    QueueModel model(seed);
+    Rng& rng = model.rng();
+    for (int slice = 0; slice < 3; ++slice) {
+      if (slice > 0) model.Rewind(rng.NextInRange(0, model.last_pop()));
+      for (int step = 0; step < 500; ++step) {
+        if (rng.NextBool(0.6)) {
+          const std::int64_t n = rng.NextInRange(1, 3);
+          for (std::int64_t i = 0; i < n; ++i) {
+            model.Push(model.now() + model.Delay());
+          }
+          continue;
         }
-        continue;
+        SimTime horizon = 0;
+        switch (rng.NextBounded(3)) {
+          case 0:
+            horizon = rng.NextInRange(0, 3000);
+            break;
+          case 1:
+            horizon = rng.NextInRange(0, 3 * kSpan);
+            break;
+          default:
+            horizon = rng.NextInRange(0, 400 * kSpan);
+            break;
+        }
+        ASSERT_TRUE(model.Drain(model.now() + horizon))
+            << "seed " << seed << ", slice " << slice << ", step " << step;
       }
-      SimTime horizon = 0;
-      switch (rng.NextBounded(3)) {
-        case 0:
-          horizon = rng.NextInRange(0, 3000);
-          break;
-        case 1:
-          horizon = rng.NextInRange(0, 3 * kSpan);
-          break;
-        default:
-          horizon = rng.NextInRange(0, 400 * kSpan);
-          break;
-      }
-      ASSERT_TRUE(model.Drain(model.now() + horizon, rng.NextBool(0.7), rng,
-                              0.3, delay))
-          << "seed " << seed << ", step " << step;
+      ASSERT_TRUE(model.DrainAll())
+          << "seed " << seed << ", slice " << slice << ", full drain";
     }
-    ASSERT_TRUE(model.Drain(INT64_MAX, true, rng, 0.0, delay))
-        << "seed " << seed << ", final drain";
-    EXPECT_TRUE(model.empty()) << "seed " << seed;
   }
 }
 
@@ -211,7 +251,7 @@ TEST(SimulatorTest, ClockAdvancesWithEvents) {
   Simulator sim;
   SimTime seen = -1;
   sim.Schedule(100, [&] { seen = sim.Now(); });
-  sim.RunAll();
+  sim.RunUntil(100);
   EXPECT_EQ(seen, 100);
   EXPECT_EQ(sim.Now(), 100);
   EXPECT_EQ(sim.events_executed(), 1u);
@@ -225,7 +265,6 @@ TEST(SimulatorTest, RunUntilStopsAtHorizonAndAdvancesClock) {
   sim.RunUntil(100);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.Now(), 100);
-  EXPECT_EQ(sim.pending_events(), 1u);
   sim.RunUntil(200);
   EXPECT_EQ(fired, 2);
 }
@@ -245,7 +284,7 @@ TEST(SimulatorTest, NestedSchedulingWorks) {
     times.push_back(sim.Now());
     sim.Schedule(5, [&] { times.push_back(sim.Now()); });
   });
-  sim.RunAll();
+  sim.RunUntil(100);
   EXPECT_EQ(times, (std::vector<SimTime>{10, 15}));
 }
 
@@ -326,8 +365,7 @@ TEST(SimulatorTest, StreamWaitsPastHorizonLikeAnyEvent) {
   sim.RunUntil(35);
   EXPECT_EQ(fires, 3);
   // The next armed firing (40) survives the horizon and resumes later,
-  // even though the slab queue itself is empty.
-  EXPECT_EQ(sim.pending_events(), 0u);
+  // even though no pushed event is pending.
   sim.RunUntil(100);
   EXPECT_EQ(fires, 10);
 }

@@ -17,9 +17,11 @@
 #include "driver/cli.h"
 #include "driver/hosting_simulation.h"
 #include "driver/report_json.h"
+#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "net/topology_gen.h"
 #include "net/topology_io.h"
+#include "net/uunet.h"
 #include "runner/experiment_plan.h"
 #include "runner/sweep_runner.h"
 
@@ -66,6 +68,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     topology = std::make_shared<net::Topology>(*std::move(parsed));
+  } else {
+    topology = std::make_shared<net::Topology>(net::MakeUunetBackbone());
   }
 
   std::shared_ptr<workload::RequestTrace> trace;
@@ -83,6 +87,12 @@ int main(int argc, char** argv) {
                 << "\n";
       return 2;
     }
+    if (!parsed->FitsRun(*topology, options->config.num_objects,
+                         &parse_error)) {
+      std::cerr << "error: " << options->trace_file << ": " << parse_error
+                << "\n";
+      return 2;
+    }
     trace = std::make_shared<workload::RequestTrace>(*std::move(parsed));
   }
 
@@ -96,6 +106,11 @@ int main(int argc, char** argv) {
                 << parse_error << "\n";
       return 2;
     }
+    if (!fault::PlanFitsGraph(*parsed, topology->graph(), &parse_error)) {
+      std::cerr << "error: " << options->fault_plan_file << ": "
+                << parse_error << "\n";
+      return 2;
+    }
     run_config.faults = *std::move(parsed);
   }
 
@@ -104,10 +119,7 @@ int main(int argc, char** argv) {
   plan.AddCustom(
       driver::WorkloadKindName(run_config.workload), run_config,
       [topology, trace](const driver::SimConfig& config) {
-        driver::HostingSimulation sim =
-            topology != nullptr
-                ? driver::HostingSimulation(config, *topology)
-                : driver::HostingSimulation(config);
+        driver::HostingSimulation sim(config, *topology);
         if (trace != nullptr) sim.SetTrace(*trace);
         return sim.Run();
       });
