@@ -15,7 +15,9 @@
 // Fig. 9's saturated hot sites, whose completions wait far beyond the
 // event queue's first wheel level. A fourth pins a demand shift, whose
 // time-varying workload must draw each arrival's object at that
-// arrival's own firing time.
+// arrival's own firing time. A fifth pins a run under scripted and
+// stochastic faults with a replica floor, whose crash-epoch failures and
+// drop races reach the report.
 //
 // Regenerate (only for an *intentional* semantic change, with a DESIGN.md
 // note):  RADAR_UPDATE_GOLDEN=1 ./determinism_test
@@ -154,29 +156,6 @@ TEST(GoldenDeterminismTest, DemandShiftIsByteIdentical) {
   ExpectMatchesGolden(dump, "demand_shift_report.json");
 }
 
-std::string RunDump(const driver::SimConfig& config) {
-  driver::HostingSimulation sim(config);
-  const driver::RunReport report = sim.Run();
-  EXPECT_GT(report.total_requests, 0);
-  return driver::ReportJson(report).Dump(2);
-}
-
-// The golden pins one configuration; repeat runs pin the rest of the
-// engine's inputs that have no committed golden: Poisson arrivals (each
-// gateway's RNG stream draws its gaps) and a fault plan with a replica
-// floor (scripted and stochastic host/link faults, lossy and delayed
-// request legs, and the repair pass all draw from the fault RNGs).
-struct RepeatCase {
-  const char* name;
-  driver::SimConfig (*config)();
-};
-
-driver::SimConfig PoissonConfig() {
-  driver::SimConfig config = GoldenConfig();
-  config.arrivals = driver::ArrivalProcess::kPoisson;
-  return config;
-}
-
 driver::SimConfig FaultConfig() {
   driver::SimConfig config = GoldenConfig();
   config.faults = ParsePlan(
@@ -188,6 +167,41 @@ driver::SimConfig FaultConfig() {
       "loss request 0.02\n"
       "delay request 0.05 30\n");
   config.replica_floor = 2;
+  return config;
+}
+
+// A crash of host 3 and a link flap on the UUNET backbone, stochastic host
+// faults, lossy and delayed request legs, and a replica floor of 2: the
+// requests a crash kills in the FCFS queue, the ones that reach a host
+// whose replica went away, and the repair pass all reach the report.
+TEST(GoldenDeterminismTest, FaultsWithReplicaFloorIsByteIdentical) {
+  driver::HostingSimulation sim(FaultConfig());
+  const driver::RunReport report = sim.Run();
+  const std::string dump = driver::ReportJson(report).Dump(2) + "\n";
+
+  ASSERT_GT(report.total_requests, 0);
+  ASSERT_GT(report.availability.host_crashes, 0);
+  ASSERT_GT(report.availability.failed_requests, 0);
+  ExpectMatchesGolden(dump, "faults_report.json");
+}
+
+std::string RunDump(const driver::SimConfig& config) {
+  driver::HostingSimulation sim(config);
+  const driver::RunReport report = sim.Run();
+  EXPECT_GT(report.total_requests, 0);
+  return driver::ReportJson(report).Dump(2);
+}
+
+// Repeat runs cover Poisson arrivals (each gateway's RNG stream draws its
+// gaps), which have no committed golden, next to two golden configs.
+struct RepeatCase {
+  const char* name;
+  driver::SimConfig (*config)();
+};
+
+driver::SimConfig PoissonConfig() {
+  driver::SimConfig config = GoldenConfig();
+  config.arrivals = driver::ArrivalProcess::kPoisson;
   return config;
 }
 
