@@ -23,7 +23,8 @@
 
 int main(int argc, char** argv) {
   using namespace radar;
-  bench::BenchOptions options = bench::ParseBenchArgs(argc, argv);
+  bench::BenchOptions options =
+      bench::ParseBenchArgs(argc, argv, /*fault_flags=*/true);
   if (options.json_path.empty()) options.json_path = "BENCH_avail.json";
 
   driver::SimConfig base = bench::PaperConfig();

@@ -11,18 +11,30 @@
 namespace radar::bench {
 namespace {
 
-[[noreturn]] void UsageAndExit(const char* argv0, int code) {
+[[noreturn]] void UsageAndExit(const char* argv0, bool fault_flags,
+                               int code) {
   std::fprintf(
       stderr,
-      "usage: %s [--jobs N] [--json PATH] [--fault-plan FILE]"
-      " [--replica-floor K]\n"
+      "usage: %s [--jobs N] [--json PATH]%s\n"
       "  --jobs N           worker threads (0 = hardware concurrency;\n"
       "                     default $RADAR_BENCH_JOBS, else 1)\n"
-      "  --json PATH        write the sweep as a SweepJson document\n"
-      "  --fault-plan FILE  inject faults (see fault/fault_plan.h)\n"
-      "  --replica-floor K  re-replicate objects below K live copies\n",
-      argv0);
+      "  --json PATH        write the sweep as a SweepJson document\n",
+      argv0, fault_flags ? " [--fault-plan FILE] [--replica-floor K]" : "");
+  if (fault_flags) {
+    std::fprintf(
+        stderr,
+        "  --fault-plan FILE  inject faults (see fault/fault_plan.h)\n"
+        "  --replica-floor K  re-replicate objects below K live copies\n");
+  }
   std::exit(code);
+}
+
+// Only the availability bench applies the fault flags; any other bench
+// would ignore them and print a perfect-world artefact.
+[[noreturn]] void FaultFlagAndExit(const char* argv0, const char* flag) {
+  std::fprintf(stderr, "%s: %s applies only to the availability bench\n",
+               argv0, flag);
+  std::exit(2);
 }
 
 }  // namespace
@@ -55,7 +67,7 @@ runner::ExperimentPlan PaperPlan(const std::string& name) {
       runner::SeedPolicy::kSharedRoot);
 }
 
-BenchOptions ParseBenchArgs(int argc, char** argv) {
+BenchOptions ParseBenchArgs(int argc, char** argv, bool fault_flags) {
   BenchOptions options;
   options.jobs = static_cast<int>(EnvOr("RADAR_BENCH_JOBS", 1.0));
 
@@ -65,7 +77,7 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
     if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
     if (*i + 1 >= argc) {
       std::fprintf(stderr, "%s: %s needs a value\n", argv[0], flag.c_str());
-      UsageAndExit(argv[0], 2);
+      UsageAndExit(argv[0], fault_flags, 2);
     }
     return argv[++*i];
   };
@@ -73,7 +85,7 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      UsageAndExit(argv[0], 0);
+      UsageAndExit(argv[0], fault_flags, 0);
     } else if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
       const std::string value = value_of(&i, arg, "--jobs");
       char* end = nullptr;
@@ -81,23 +93,25 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
       if (end == value.c_str() || *end != '\0' || parsed < 0) {
         std::fprintf(stderr, "%s: --jobs must be a non-negative integer\n",
                      argv[0]);
-        UsageAndExit(argv[0], 2);
+        UsageAndExit(argv[0], fault_flags, 2);
       }
       options.jobs = static_cast<int>(parsed);
     } else if (arg == "--json" || arg.rfind("--json=", 0) == 0) {
       options.json_path = value_of(&i, arg, "--json");
       if (options.json_path.empty()) {
         std::fprintf(stderr, "%s: --json needs a path\n", argv[0]);
-        UsageAndExit(argv[0], 2);
+        UsageAndExit(argv[0], fault_flags, 2);
       }
     } else if (arg == "--fault-plan" || arg.rfind("--fault-plan=", 0) == 0) {
+      if (!fault_flags) FaultFlagAndExit(argv[0], "--fault-plan");
       options.fault_plan_file = value_of(&i, arg, "--fault-plan");
       if (options.fault_plan_file.empty()) {
         std::fprintf(stderr, "%s: --fault-plan needs a path\n", argv[0]);
-        UsageAndExit(argv[0], 2);
+        UsageAndExit(argv[0], fault_flags, 2);
       }
     } else if (arg == "--replica-floor" ||
                arg.rfind("--replica-floor=", 0) == 0) {
+      if (!fault_flags) FaultFlagAndExit(argv[0], "--replica-floor");
       const std::string value = value_of(&i, arg, "--replica-floor");
       char* end = nullptr;
       const long parsed = std::strtol(value.c_str(), &end, 10);
@@ -105,13 +119,13 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
         std::fprintf(stderr,
                      "%s: --replica-floor must be a non-negative integer\n",
                      argv[0]);
-        UsageAndExit(argv[0], 2);
+        UsageAndExit(argv[0], fault_flags, 2);
       }
       options.replica_floor = static_cast<int>(parsed);
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
                    arg.c_str());
-      UsageAndExit(argv[0], 2);
+      UsageAndExit(argv[0], fault_flags, 2);
     }
   }
   return options;

@@ -11,6 +11,8 @@
 //   --jobs N      worker threads (0 = hardware concurrency;
 //                 default $RADAR_BENCH_JOBS, else 1)
 //   --json PATH   write the sweep's SweepJson document to PATH
+// The availability bench also takes --fault-plan FILE and
+// --replica-floor K; the others run a perfect world and reject both.
 //
 // Environment knobs keep full paper-scale runs available without
 // recompiling:
@@ -54,11 +56,13 @@ struct BenchOptions {
   int replica_floor = 0;        ///< 0 = no self-healing floor
 };
 
-/// Parses --jobs/--json/--fault-plan/--replica-floor (either
-/// "--flag value" or "--flag=value") plus --help. jobs defaults to
-/// $RADAR_BENCH_JOBS. Prints usage and exits(2) on a malformed command
-/// line, exits(0) on --help.
-BenchOptions ParseBenchArgs(int argc, char** argv);
+/// Parses --jobs/--json, and --fault-plan/--replica-floor when
+/// `fault_flags` is set (either "--flag value" or "--flag=value"), plus
+/// --help. jobs defaults to $RADAR_BENCH_JOBS. Prints usage and exits(2)
+/// on a malformed command line, exits(0) on --help. Without
+/// `fault_flags`, a fault flag prints a message naming it and exits(2):
+/// a bench that ignored it would print a perfect-world artefact.
+BenchOptions ParseBenchArgs(int argc, char** argv, bool fault_flags = false);
 
 /// Loads options.fault_plan_file (when set) and copies the plan plus
 /// options.replica_floor into the config. Exits(2) on a parse failure or

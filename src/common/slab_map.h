@@ -188,7 +188,8 @@ class SlabMap {
   T& At(Handle h) { return SlotRef(h); }
   const T& At(Handle h) const { return SlotRef(h); }
 
-  /// Key stored in slot `h` (h must be live).
+  /// Key stored in slot `h` (any h below slot_capacity()): -1 while the
+  /// slot is free, so a stale handle never reads as a live key.
   std::int64_t KeyAt(Handle h) const {
     return keys_[static_cast<std::size_t>(h)];
   }

@@ -48,21 +48,16 @@ std::uint32_t HostAgent::CountFor(const CountRow& row, NodeId p) {
 
 std::size_t HostAgent::BumpCount(CountRow& row, NodeId p, std::size_t from,
                                  std::size_t known) {
-  const auto is_p = [p](const CountEntry& e) { return e.node == p; };
-  const auto begin = row.begin();
-  const auto end = begin + static_cast<std::ptrdiff_t>(known);
-  const auto start = from < known ? begin + static_cast<std::ptrdiff_t>(from)
-                                  : end;
-  auto it = std::find_if(start, end, is_p);
-  if (it == end) {
-    it = std::find_if(begin, start, is_p);
-    if (it == start) {
-      row.push_back(CountEntry{p, 1});
-      return row.size();
+  std::size_t i = from < known ? from : 1;
+  for (std::size_t left = known - 1; left > 0; --left) {
+    if (row[i].node == p) {
+      ++row[i].count;
+      return i + 1;
     }
+    if (++i == known) i = 1;
   }
-  ++it->count;
-  return static_cast<std::size_t>(it - begin) + 1;
+  row.push_back(CountEntry{p, 1});
+  return row.size();
 }
 
 void HostAgent::AddInitialReplica(ObjectId x, int affinity) {
@@ -77,8 +72,9 @@ int HostAgent::Affinity(ObjectId x) const {
 }
 
 std::vector<ObjectId> HostAgent::Objects() const {
-  // The dense index enumerates hosted objects in ascending id order for
-  // free — no hash-map traversal, no sort.
+  // The hash index cannot be walked in key order: ForEachKeyAscending
+  // sorts the live slots by their stored keys (O(k log k) for k hosted
+  // objects, into a reused scratch buffer).
   std::vector<ObjectId> out;
   out.reserve(records_.size());
   records_.ForEachKeyAscending([&out](std::int64_t key, Handle) {
@@ -87,16 +83,32 @@ std::vector<ObjectId> HostAgent::Objects() const {
   return out;
 }
 
+HostAgent::Slot HostAgent::ServiceSlot(ObjectId x) const {
+  const Handle h = records_.HandleOf(x);
+  if (h != Records::kNoHandle) {
+    __builtin_prefetch(&counts_[h]);
+    __builtin_prefetch(&serviced_[h], 1);
+  }
+  return h;
+}
+
 void HostAgent::RecordServicedAt(Handle h,
                                  const std::vector<NodeId>& preference_path) {
   RADAR_CHECK(!preference_path.empty());
   RADAR_CHECK_MSG(preference_path.front() == self_,
                   "preference path must start at the servicing host");
+  // Every path starts at self, so the first one a row sees puts self in
+  // entry 0, where every later path bumps it without a search.
   CountRow& row = CountsRow(h);
+  if (row.empty()) {
+    row.push_back(CountEntry{self_, 1});
+  } else {
+    ++row.front().count;
+  }
   const std::size_t known = row.size();
-  std::size_t next = 0;
-  for (const NodeId p : preference_path) {
-    next = BumpCount(row, p, next, known);
+  std::size_t next = 1;
+  for (std::size_t i = 1; i < preference_path.size(); ++i) {
+    next = BumpCount(row, preference_path[i], next, known);
   }
   ++serviced_[h];
   ++serviced_interval_total_;
@@ -108,13 +120,16 @@ void HostAgent::RecordServiced(ObjectId x,
 }
 
 bool HostAgent::RecordServicedIfHosted(
-    ObjectId x, const std::vector<NodeId>& preference_path) {
-  const Handle h = records_.HandleOf(x);
-  if (h == Records::kNoHandle) {
+    ObjectId x, Slot slot, const std::vector<NodeId>& preference_path) {
+  // A freed slot's key reads -1, which no object id equals.
+  if (slot == kNoSlot || records_.KeyAt(slot) != x) {
+    slot = records_.HandleOf(x);
+  }
+  if (slot == kNoSlot) {
     RecordServicedUntracked();
     return false;
   }
-  RecordServicedAt(h, preference_path);
+  RecordServicedAt(slot, preference_path);
   return true;
 }
 

@@ -30,12 +30,14 @@
 // this epoch, in first-appearance order — a dense slots x num_nodes
 // matrix would be 4 GB at 10^5 objects on a 10k-node topology. A row's
 // size is the union of its paths, so a warm object costs a few entries,
-// not one per request. A bump searches the row from the entry after the
-// previous path node's, because a path's nodes first appear in path
-// order, and never searches the entries its own path appended: a fresh
-// row costs one append per path node. Rows are cleared (capacity
-// retained) on epoch reset and slot recycling, so steady-state
-// bookkeeping allocates nothing.
+// not one per request. Every path starts at this host, so its own entry
+// is always entry 0 and a record bumps it without a search. Each later
+// path node is searched for in one forward pass over entries 1.. that
+// starts after the previous path node's entry, because a path's nodes
+// first appear in path order, and wraps once; the pass never reaches the
+// entries its own path appended, so a fresh row costs one append per
+// path node. Rows are cleared (capacity retained) on epoch reset and
+// slot recycling, so steady-state bookkeeping allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +89,16 @@ class HostAgent {
 
   // ---- Request servicing ----
 
+  /// Slab slot of a hosted object's record. A slot holds its object until
+  /// the object is dropped; then it may hold another object, or none.
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = 0xFFFFFFFFu;
+
+  /// Slot of x's record, or kNoSlot when x is not hosted. Also prefetches
+  /// the slot's count-row header and serviced counter: a request looks its
+  /// record up on arrival and records through the slot on completion.
+  Slot ServiceSlot(ObjectId x) const;
+
   /// Records one serviced request for x whose response travels along
   /// `preference_path` (routers from this host to the client's gateway,
   /// inclusive; element 0 must be this host, and no node appears twice).
@@ -95,10 +107,17 @@ class HostAgent {
   void RecordServiced(ObjectId x, const std::vector<NodeId>& preference_path);
 
   /// RecordServiced when x is hosted; otherwise records the untracked
-  /// service and returns false. One lookup either way — the request
-  /// completion path's single call into the agent.
-  bool RecordServicedIfHosted(ObjectId x,
+  /// service and returns false. `slot` is what ServiceSlot(x) returned
+  /// earlier, or kNoSlot. It is used while it still holds x; otherwise x
+  /// is looked up again, so a replica dropped, re-added or moved to
+  /// another slot since then counts as it is now.
+  bool RecordServicedIfHosted(ObjectId x, Slot slot,
                               const std::vector<NodeId>& preference_path);
+  /// The same with a fresh lookup of x.
+  bool RecordServicedIfHosted(ObjectId x,
+                              const std::vector<NodeId>& preference_path) {
+    return RecordServicedIfHosted(x, kNoSlot, preference_path);
+  }
 
   /// Load bookkeeping for a serviced request whose object is no longer
   /// hosted (a request that was in flight when the replica was dropped).
@@ -200,6 +219,7 @@ class HostAgent {
   // host's typical working set (a few dozen replicas, not hundreds).
   using Records = SlabMap<ReplicaRecord, 5, HashSlabIndex>;
   using Handle = Records::Handle;
+  static_assert(Records::kNoHandle == kNoSlot);
 
   /// One sparse access-count entry: node `node` appeared on `count`
   /// preference paths this epoch. A row holds one entry per node.
@@ -222,12 +242,13 @@ class HostAgent {
 
   /// cnt(p, x) for one node: its entry's count, 0 when absent.
   static std::uint32_t CountFor(const CountRow& row, NodeId p);
-  /// Increments cnt(p, x), appending p when the row's first `known`
-  /// entries have none for it, and returns the position after p's entry.
-  /// The search starts at `from` and wraps to the row's start: passing
-  /// the previous path node's result finds the next path node first.
-  /// `known` is the row's size before the current path; the entries past
-  /// it are that path's own nodes, which a path names once each.
+  /// Increments cnt(p, x) for a path node p other than self, appending p
+  /// when entries 1 to `known` - 1 have none for it, and returns the
+  /// position after p's entry. The search starts at `from` (>= 1) and
+  /// wraps once to entry 1: passing the previous path node's result finds
+  /// the next path node first. `known` is the row's size once self was
+  /// counted; the entries past it are the current path's own nodes, which
+  /// a path names once each.
   static std::size_t BumpCount(CountRow& row, NodeId p, std::size_t from,
                                std::size_t known);
 

@@ -341,7 +341,12 @@ void HostingSimulation::DispatchRequest(ObjectId x, NodeId gateway,
 
 void HostingSimulation::ArriveAtHost(ObjectId x, NodeId gateway, NodeId host,
                                      SimTime t0, int redirects) {
-  if (!HostUpNow(host) || !cluster_->host(host).HasObject(x)) {
+  // The request's one record lookup: the slot rides to the completion,
+  // which records through it.
+  const core::HostAgent::Slot slot =
+      HostUpNow(host) ? cluster_->host(host).ServiceSlot(x)
+                      : core::HostAgent::kNoSlot;
+  if (slot == core::HostAgent::kNoSlot) {
     // The replica vanished while the request was in flight — a drop race
     // (the redirector removes replicas before they are dropped, so only
     // messages already underway see it) or, under faults, a host that
@@ -371,27 +376,29 @@ void HostingSimulation::ArriveAtHost(ObjectId x, NodeId gateway, NodeId host,
   const std::uint32_t epoch =
       injector_ != nullptr ? injector_->crash_epoch(host) : 0;
   sim_.ScheduleAt(completion,
-                  [this, x, gateway, host, t0, epoch] {
+                  [this, x, gateway, host, t0, epoch, slot] {
                   if (injector_ != nullptr &&
                       injector_->crash_epoch(host) != epoch) {
                     ++report_->availability.failed_requests;
                     return;
                   }
-                  CompleteService(x, gateway, host, t0);
+                  CompleteService(x, gateway, host, t0, slot);
                 });
 }
 
 void HostingSimulation::CompleteService(ObjectId x, NodeId gateway,
-                                        NodeId host, SimTime t0) {
+                                        NodeId host, SimTime t0,
+                                        core::HostAgent::Slot slot) {
   core::HostAgent& agent = cluster_->host(host);
   // The canonical path, walked into member scratch (allocation-free at
   // steady capacity — per-completion vectors dominated this profile).
   path_scratch_.clear();
   net_.AppendPath(host, gateway, &path_scratch_);
   const std::vector<NodeId>& path = path_scratch_;
-  // One record lookup: counts the serviced request against x when it is
-  // still hosted, or as untracked when it was dropped while queued.
-  agent.RecordServicedIfHosted(x, path);
+  // Counts the serviced request against x through the arrival's slot when
+  // x is still hosted (looked up again if the slot changed hands), or as
+  // untracked when x was dropped while the request waited.
+  agent.RecordServicedIfHosted(x, slot, path);
   const SimTime now = sim_.Now();
   // The path's hop count IS HopDistance(host, gateway) — reuse the
   // vector instead of a second row lookup. (Both come from the same

@@ -162,7 +162,8 @@ class HostingSimulation {
   NodeId ChooseHost(ObjectId x, NodeId gateway);
   void ArriveAtHost(ObjectId x, NodeId gateway, NodeId host, SimTime t0,
                     int redirects);
-  void CompleteService(ObjectId x, NodeId gateway, NodeId host, SimTime t0);
+  void CompleteService(ObjectId x, NodeId gateway, NodeId host, SimTime t0,
+                       core::HostAgent::Slot slot);
 
   SimConfig config_;
   net::Topology topology_;

@@ -66,6 +66,35 @@ TEST_F(HostAgentTest, RecordServicedCountsEveryPathNode) {
   EXPECT_EQ(agent_.AccessCount(2, 7), 0u);
 }
 
+// Paths of one, two, three and four nodes, interleaved, some leaving the
+// order in which the row first saw their nodes: self is counted once per
+// request, and every other node once per path naming it.
+TEST_F(HostAgentTest, SelfCountsEveryRequestAcrossPathLengths) {
+  agent_.AddInitialReplica(3);
+  const std::vector<std::vector<NodeId>> paths = {
+      {0}, {0, 2, 5}, {0, 7}, {0, 6, 2, 5}, {0, 5, 2}, {0}, {0, 4, 6, 7}};
+  std::vector<std::uint32_t> want(8, 0);
+  std::uint32_t requests = 0;
+  for (std::size_t round = 0; round < 50; ++round) {
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      // Both entry points: a fresh lookup, and a slot taken beforehand.
+      if ((round + i) % 2 == 0) {
+        agent_.RecordServiced(3, paths[i]);
+      } else {
+        const HostAgent::Slot slot = agent_.ServiceSlot(3);
+        EXPECT_TRUE(agent_.RecordServicedIfHosted(3, slot, paths[i]));
+      }
+      ++requests;
+      for (const NodeId p : paths[i]) ++want[static_cast<std::size_t>(p)];
+    }
+  }
+  EXPECT_EQ(agent_.AccessCount(3, 0), requests);
+  for (NodeId p = 0; p < 8; ++p) {
+    EXPECT_EQ(agent_.AccessCount(3, p), want[static_cast<std::size_t>(p)])
+        << "node " << p;
+  }
+}
+
 TEST_F(HostAgentTest, SelfOnlyPathForLocalGateway) {
   agent_.AddInitialReplica(1);
   agent_.RecordServiced(1, {0});
@@ -219,6 +248,75 @@ TEST_F(HostAgentTest, UnitAccessRateOfFreshReplicaUsesAcquisitionTime) {
                          SecondsToSim(90.0));
   for (int i = 0; i < 10; ++i) agent_.RecordServiced(9, {0});
   EXPECT_DOUBLE_EQ(agent_.UnitAccessRate(9, SecondsToSim(100.0)), 1.0);
+}
+
+// Drops cold object x from the agent through a placement round at `now`:
+// a second replica elsewhere lets the redirector grant the drop.
+void DropCold(HostAgent& agent, FakeContext& ctx, ObjectId x, SimTime now) {
+  ctx.redirector.RegisterObject(x, agent.self());
+  ctx.redirector.OnReplicaCreated(x, 5);
+  ctx.RunPlacement(agent, now);
+  ASSERT_FALSE(agent.HasObject(x));
+}
+
+// A request's slot outlives its object: the object is dropped while the
+// request waits and the slot goes to another object. The completion must
+// not count the request against the slot's new owner.
+TEST_F(HostAgentTest, SlotReusedByAnotherObjectRecordsUntracked) {
+  FakeContext ctx(8);
+  agent_.AddInitialReplica(1);
+  const HostAgent::Slot slot = agent_.ServiceSlot(1);
+  ASSERT_NE(slot, HostAgent::kNoSlot);
+
+  DropCold(agent_, ctx, 1, SecondsToSim(100.0));
+  agent_.OnMeasurementTick(SecondsToSim(100.0));
+  ASSERT_TRUE(agent_
+                  .HandleCreateObj(CreateObjMethod::kReplicate, 2, 0.0,
+                                   SecondsToSim(100.0))
+                  .accepted);
+  ASSERT_EQ(agent_.ServiceSlot(2), slot);  // the freed slot, recycled
+
+  EXPECT_FALSE(agent_.RecordServicedIfHosted(1, slot, {0, 3}));
+  EXPECT_EQ(agent_.AccessCount(1, 0), 0u);
+  EXPECT_EQ(agent_.AccessCount(2, 0), 0u);
+  EXPECT_EQ(agent_.AccessCount(2, 3), 0u);
+  agent_.OnMeasurementTick(SecondsToSim(120.0));
+  EXPECT_DOUBLE_EQ(agent_.measured_load(), 1.0 / 20.0);  // 1 req / 20 s
+  EXPECT_DOUBLE_EQ(agent_.ObjectLoad(2), 0.0);
+}
+
+// Dropped and re-added while a request waits: into another slot (the old
+// one went to a different object) and back into its own slot. Either way
+// the request counts against the object's current record.
+TEST_F(HostAgentTest, ReaddedObjectRecordsAgainstItsCurrentRecord) {
+  const SimTime t = SecondsToSim(100.0);
+  FakeContext ctx(8);
+  agent_.AddInitialReplica(1);
+  const HostAgent::Slot old_slot = agent_.ServiceSlot(1);
+  DropCold(agent_, ctx, 1, t);
+  ASSERT_TRUE(
+      agent_.HandleCreateObj(CreateObjMethod::kReplicate, 2, 0.0, t).accepted);
+  ASSERT_TRUE(
+      agent_.HandleCreateObj(CreateObjMethod::kReplicate, 1, 0.0, t).accepted);
+  ASSERT_NE(agent_.ServiceSlot(1), old_slot);
+
+  EXPECT_TRUE(agent_.RecordServicedIfHosted(1, old_slot, {0, 3}));
+  EXPECT_EQ(agent_.AccessCount(1, 0), 1u);
+  EXPECT_EQ(agent_.AccessCount(1, 3), 1u);
+  EXPECT_EQ(agent_.AccessCount(2, 0), 0u);
+
+  // Back into the slot it held: that slot is its current record again.
+  HostAgent agent(0, 8, &params_);
+  FakeContext ctx2(8);
+  agent.AddInitialReplica(4);
+  const HostAgent::Slot own_slot = agent.ServiceSlot(4);
+  DropCold(agent, ctx2, 4, t);
+  ASSERT_TRUE(
+      agent.HandleCreateObj(CreateObjMethod::kReplicate, 4, 0.0, t).accepted);
+  ASSERT_EQ(agent.ServiceSlot(4), own_slot);
+  EXPECT_TRUE(agent.RecordServicedIfHosted(4, own_slot, {0, 6}));
+  EXPECT_EQ(agent.AccessCount(4, 0), 1u);
+  EXPECT_EQ(agent.AccessCount(4, 6), 1u);
 }
 
 TEST_F(HostAgentTest, OffloadLoadLowerBoundedByShedding) {

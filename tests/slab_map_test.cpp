@@ -41,6 +41,7 @@ TEST(SlabMapTest, InsertFindEraseBasics) {
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.HandleOf(7), Map::kNoHandle);
   EXPECT_EQ(m.Find(7), nullptr);
+  EXPECT_EQ(m.KeyAt(h), -1);  // a free slot names no key
 }
 
 TEST(SlabMapTest, HandlesAndAddressesStableAcrossGrowth) {

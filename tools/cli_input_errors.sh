@@ -3,13 +3,16 @@
 # simulation invariant: radar-sim with a request trace that names an
 # object beyond --objects or a node that is no gateway, and with a fault
 # plan that names a host or a link the backbone lacks; a bench binary
-# (availability, on the UUNET backbone) with the same two plans.
+# (availability, on the UUNET backbone) with the same two plans. A bench
+# that runs no faults (fig6_performance) exits 2 on either fault flag
+# instead of printing a perfect-world artefact.
 #
-#   tools/cli_input_errors.sh RADAR_SIM AVAILABILITY_BENCH
+#   tools/cli_input_errors.sh RADAR_SIM AVAILABILITY_BENCH FIG6_BENCH
 set -euo pipefail
 
 sim=$1
 bench=$2
+fig6=$3
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"
@@ -47,9 +50,13 @@ expect "error: crash.plan: crash 999 20: the topology has no host 999 (53 nodes)
   env RADAR_BENCH_DURATION=10 "$bench" --fault-plan=crash.plan
 expect "error: link.plan: link-down 0 52 30: the topology has no link 0-52" \
   env RADAR_BENCH_DURATION=10 "$bench" --fault-plan link.plan
+expect "$fig6: --fault-plan applies only to the availability bench" \
+  env RADAR_BENCH_DURATION=10 "$fig6" --fault-plan=crash.plan
+expect "$fig6: --replica-floor applies only to the availability bench" \
+  env RADAR_BENCH_DURATION=10 "$fig6" --replica-floor=2
 
 if [[ $failures -ne 0 ]]; then
   echo "$failures bad-input check(s) failed" >&2
   exit 1
 fi
-echo "all bad inputs exit 2 with a message naming the file"
+echo "all bad inputs exit 2 with a message naming the file or flag"
