@@ -17,7 +17,8 @@
 // time-varying workload must draw each arrival's object at that
 // arrival's own firing time. A fifth pins a run under scripted and
 // stochastic faults with a replica floor, whose crash-epoch failures and
-// drop races reach the report.
+// drop races reach the report. A sixth is CI's chaos smoke on UUNET,
+// whose replicas are dropped and re-added while requests for them wait.
 //
 // Regenerate (only for an *intentional* semantic change, with a DESIGN.md
 // note):  RADAR_UPDATE_GOLDEN=1 ./determinism_test
@@ -183,6 +184,39 @@ TEST(GoldenDeterminismTest, FaultsWithReplicaFloorIsByteIdentical) {
   ASSERT_GT(report.availability.host_crashes, 0);
   ASSERT_GT(report.availability.failed_requests, 0);
   ExpectMatchesGolden(dump, "faults_report.json");
+}
+
+// CI's chaos smoke on the UUNET backbone: `radar-sim --duration=600
+// --objects=500 --seed=7 --fault-plan=chaos.plan --replica-floor=2`, whose
+// --json output CI compares with this golden, so the plan below and the
+// one in ci.yml cannot drift apart. Its lossy control messages and
+// stochastic crashes drop replicas while requests for them wait in FCFS
+// queues, and the repair pass re-adds them into other record slots: the
+// completion of such a request must count against the object's current
+// record, not against whatever the slot it arrived with now holds.
+TEST(GoldenDeterminismTest, ChaosPlanIsByteIdentical) {
+  driver::SimConfig config;
+  config.duration = SecondsToSim(600.0);
+  config.num_objects = 500;
+  config.seed = 7;
+  config.faults = ParsePlan(
+      "host-faults 300 60\n"
+      "link-faults 600 45\n"
+      "loss request 0.01\n"
+      "loss replicate 0.05\n"
+      "loss migrate 0.05\n"
+      "loss ack 0.05\n"
+      "quiesce 480\n");
+  config.replica_floor = 2;
+  driver::HostingSimulation sim(config);
+  const driver::RunReport report = sim.Run();
+  const std::string dump = driver::ReportJson(report).Dump(2) + "\n";
+
+  ASSERT_GT(report.total_requests, 0);
+  ASSERT_GT(report.availability.host_crashes, 0);
+  ASSERT_GT(report.availability.link_downs, 0);
+  ASSERT_EQ(report.availability.objects_lost, 0);
+  ExpectMatchesGolden(dump, "chaos_report.json");
 }
 
 std::string RunDump(const driver::SimConfig& config) {
