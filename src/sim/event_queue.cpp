@@ -50,9 +50,14 @@ void EventQueue::PushEntry(const Entry& e) {
 void EventQueue::CascadeBlock() {
   // The block spans exactly the wheel's range now, so every entry lands
   // in the bucket of its timestamp on the current lap; the buckets past
-  // the first are sorted when they become current, like any other.
+  // the first are sorted when they become current, like any other. Each
+  // entry was pushed at least a span before it fires, so its slot has
+  // likely left the cache: start loading it now.
   Bucket& block = Block(wheel_time_ >> kBlockShift);
-  for (const Entry& e : block) buckets_[BucketIdx(e.when)].push_back(e);
+  for (const Entry& e : block) {
+    buckets_[BucketIdx(e.when)].push_back(e);
+    PrefetchSlot(e);
+  }
   wheel_count_ += block.size();
   block_count_ -= block.size();
   Bucket().swap(block);
@@ -152,7 +157,7 @@ std::uint32_t EventQueue::AcquireSlot() {
   RADAR_CHECK_LT(num_slots_, kSlotMask);
   if ((num_slots_ >> kChunkShift) ==
       static_cast<std::uint32_t>(chunks_.size())) {
-    chunks_.push_back(std::make_unique<EventFn[]>(kChunkSize));
+    chunks_.push_back(std::make_unique<SlotCell[]>(kChunkSize));
   }
   return num_slots_++;
 }
@@ -202,6 +207,10 @@ bool EventQueue::PopEntryIfNotAfter(SimTime until, SimTime* when,
       // still arrive) but its storage — and capacity — are reusable now.
       cur->clear();
       cursor_ = 0;
+    } else {
+      // The next pop most likely takes this entry; its slot loads while
+      // the caller runs the one just popped.
+      PrefetchSlot((*cur)[cursor_]);
     }
   }
   return true;

@@ -38,6 +38,11 @@
 // Slab chunks never move once allocated, so a closure is *invoked in
 // place* (InvokeAndReleaseSlot) even while it pushes new events: the
 // simulation's run loop executes each event with zero closure moves.
+// Each slot is one 64-byte-aligned cache line, and a slot is prefetched
+// ahead of its firing in two places: when a second-level block moves
+// into the first level, and when a pop leaves the next entry of the
+// current bucket at the cursor. A prefetch only warms a line; it moves
+// no entry and no sequence number.
 // Released slots are recycled through a free list, the 256 us buckets
 // keep their capacity across laps, and the slab stops growing once the
 // run's peak event population is reached. Only a block gives its storage
@@ -55,10 +60,11 @@
 
 namespace radar::sim {
 
-// 48-byte capture capacity + the ops pointer = a 64-byte slot: every
-// event closure occupies exactly one cache line in the slab. Oversized
-// captures are a compile error (can_hold) — capture pointers, not
-// objects, or split the event.
+// 48-byte capture capacity + the ops pointer = a 64-byte closure, which
+// the slab stores in a 64-byte-aligned cell (EventQueue::SlotCell): every
+// event closure occupies exactly one cache line. Oversized captures are a
+// compile error (can_hold) — capture pointers, not objects, or split the
+// event.
 using EventFn = InplaceFunction<void(), 48>;
 
 class EventQueue {
@@ -203,11 +209,26 @@ class EventQueue {
   static void SiftDown(std::vector<Entry>& heap, std::size_t i);
 
   // Slot slab: fixed-size chunks that never relocate, so closures have
-  // stable addresses for in-place invocation.
+  // stable addresses for in-place invocation. A chunk is an array of
+  // cells aligned to a cache line: EventFn itself is only 16-aligned, and
+  // an array of it from the default allocator starts wherever malloc
+  // puts it, so most slots would straddle two lines — the ops pointer in
+  // one, the capture's tail in the next — and a prefetch would fetch
+  // half a slot.
+  struct alignas(64) SlotCell {
+    EventFn fn;
+  };
+  static_assert(sizeof(SlotCell) == 64, "a slot is one cache line");
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   EventFn& SlotRef(std::uint32_t slot) {
-    return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
+    return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)].fn;
+  }
+  /// Starts loading the slot of a wheel entry (never a stream firing)
+  /// into the cache ahead of its invocation.
+  void PrefetchSlot(const Entry& e) {
+    __builtin_prefetch(
+        &SlotRef(static_cast<std::uint32_t>(e.seq_slot & kSlotMask)));
   }
   /// Returns an empty slot (recycled or freshly carved from a chunk).
   std::uint32_t AcquireSlot();
@@ -220,7 +241,7 @@ class EventQueue {
   std::size_t block_count_ = 0;
   std::vector<Entry> far_;
 
-  std::vector<std::unique_ptr<EventFn[]>> chunks_;
+  std::vector<std::unique_ptr<SlotCell[]>> chunks_;
   std::uint32_t num_slots_ = 0;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;

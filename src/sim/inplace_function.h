@@ -151,9 +151,12 @@ class InplaceFunction<R(Args...), Capacity> {
 
   // ops_ precedes the (16-aligned) buffer, so a function with a capture of
   // up to Capacity = 48 bytes occupies bytes [0, 64) — ops pointer and
-  // capture on ONE cache line. With the buffer first, the trailing ops
-  // pointer starts at offset Capacity and every emplace/invoke/release
-  // touches a second line regardless of capture size.
+  // capture on ONE cache line, provided the object starts on one. The
+  // type is only 16-aligned, so that is the holder's job: the event
+  // queue stores each EventFn in a 64-byte-aligned cell. With the buffer
+  // first, the trailing ops pointer starts at offset Capacity and every
+  // emplace/invoke/release touches a second line regardless of capture
+  // size.
   const Ops* ops_ = nullptr;
   alignas(kAlignment) unsigned char storage_[Capacity];
 };

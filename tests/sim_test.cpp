@@ -77,6 +77,39 @@ TEST(EventQueueTest, BlockEventsJoinTheirFirstBucketBeforeItIsSorted) {
   EXPECT_FALSE(q.PopEntryIfNotAfter(INT64_MAX, &when, &slot));
 }
 
+// Records where its capture lives: `this` is the capture's address inside
+// its slab slot.
+struct RecordCaptureAddress {
+  std::vector<std::uintptr_t>* seen;
+  void operator()() {
+    seen->push_back(reinterpret_cast<std::uintptr_t>(this));
+  }
+};
+
+// Each slot is one cache line, in every slab chunk: with 2,000 events
+// pending the queue carves eight 256-slot chunks, and every capture must
+// sit at the same offset within its 64-byte line, with room for the
+// full 48-byte capacity before the line ends.
+TEST(EventQueueTest, EverySlotIsOneCacheLineInEveryChunk) {
+  constexpr std::uintptr_t kLine = 64;
+  EventQueue q;
+  std::vector<std::uintptr_t> seen;
+  constexpr int kPending = 2'000;
+  for (int i = 0; i < kPending; ++i) {
+    q.Push(i, RecordCaptureAddress{&seen});
+  }
+  DrainQueue(q);
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kPending));
+  const std::uintptr_t offset = seen.front() % kLine;
+  EXPECT_LE(offset + EventFn::kCapacity, kLine);
+  std::set<std::uintptr_t> lines;
+  for (const std::uintptr_t addr : seen) {
+    EXPECT_EQ(addr % kLine, offset) << "capture at " << addr;
+    lines.insert(addr / kLine);
+  }
+  EXPECT_EQ(lines.size(), seen.size());  // no two slots share a line
+}
+
 // The queue against a reference model: pushed events and armed stream
 // firings, ordered by (when, push/arm order) and popped the way the run
 // loop pops them. Each stream has one armed firing and re-arms from
